@@ -1,6 +1,6 @@
 // bench_city — the city-scale metro scenario (ISSUE 6 tentpole cap).
 //
-// Five sections, one JSON "city" block in BENCH_perf.json:
+// Four sections, one JSON "city" block in BENCH_perf.json:
 //
 //   seed sweep     SweepRunner drives one CitySim per seed (full: 4 seeds
 //                  x 12,000 hosts across 144 cells; smoke: 2 x 600 across
@@ -16,14 +16,11 @@
 //   find_link      before/after microbenchmark of World::find_link on a
 //                  256-router backbone: the name index vs the seed's
 //                  linear scan (ISSUE 6 satellite).
-//   scheduler      the same city under SchedulerKind::BinaryHeap vs the
-//                  calendar queue: identical events and byte-identical
-//                  snapshots required, median wall times compared. The
-//                  calendar run's events/sec is the single-core city
-//                  figure the perf trendline tracks.
 //   observability  the seed-1 city with the MetricsSampler on vs off —
 //                  the city-scale observability overhead, gated at 10%
-//                  by check_perf_trend.py (ISSUE 7).
+//                  by check_perf_trend.py (ISSUE 7). The sampler-on run
+//                  is the product default, and its events/sec is the
+//                  single-core city figure the perf trendline tracks.
 //
 // Wall-clock numbers land in BENCH_perf.json next to bench_perf's
 // (merged, not overwritten); everything else the binary emits is
@@ -31,7 +28,6 @@
 #include "common.h"
 
 #include <chrono>
-#include <cinttypes>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -68,8 +64,7 @@ CityParams params(const bench::HarnessOptions& opt) {
     return p;
 }
 
-metro::CityConfig city_config(const CityParams& p, std::uint64_t seed,
-                              sim::SchedulerKind scheduler) {
+metro::CityConfig city_config(const CityParams& p, std::uint64_t seed) {
     metro::CityConfig cfg;
     cfg.metro.cells_x = p.grid;
     cfg.metro.cells_y = p.grid;
@@ -77,7 +72,6 @@ metro::CityConfig city_config(const CityParams& p, std::uint64_t seed,
     cfg.population.hosts = p.hosts;
     cfg.population.seed = seed;
     cfg.population.metro_lines = p.metro_lines;
-    cfg.scheduler = scheduler;
     cfg.duration = p.duration;
     cfg.registration_lifetime = p.registration_lifetime;
     cfg.storm_threshold = p.storm_threshold;
@@ -109,7 +103,7 @@ std::vector<sweep::JobSpec> seed_jobs(const CityParams& p,
         const std::uint64_t seed = static_cast<std::uint64_t>(s) + 1;
         const std::string label = "seed" + std::to_string(seed);
         jobs.push_back({static_cast<std::uint64_t>(s), label, [p, seed, label, opt] {
-            metro::CitySim city(city_config(p, seed, sim::SchedulerKind::Calendar));
+            metro::CitySim city(city_config(p, seed));
             city.run();
 
             sweep::JobResult r;
@@ -192,61 +186,17 @@ obs::JsonValue::Object measure_find_link(const bench::HarnessOptions& opt) {
     return o;
 }
 
-struct SchedRun {
+struct CityRun {
     std::uint64_t events = 0;
     double wall_ms = 0.0;
-    std::string snapshot;
 };
 
-SchedRun run_city_once(const CityParams& p, sim::SchedulerKind kind) {
-    metro::CitySim city(city_config(p, 1, kind));
+CityRun run_city_once(const CityParams& p) {
+    metro::CitySim city(city_config(p, 1));
     const auto t0 = std::chrono::steady_clock::now();
     city.run();
     const auto t1 = std::chrono::steady_clock::now();
-    SchedRun r;
-    r.events = city.events_fired();
-    r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    r.snapshot = city.snapshot_json("bench_city", "sched");
-    return r;
-}
-
-/// Seed scheduler vs calendar queue on the seed-1 city: byte-identical
-/// behaviour required, median wall times compared.
-obs::JsonValue::Object measure_scheduler(const bench::HarnessOptions& opt,
-                                         const CityParams& p, bool& identical_out,
-                                         double& calendar_events_per_sec) {
-    const int reps = opt.pick(3, 2);
-    const auto median = [&](sim::SchedulerKind kind) {
-        std::vector<SchedRun> runs;
-        run_city_once(p, kind);  // warm-up, discarded
-        for (int i = 0; i < reps; ++i) runs.push_back(run_city_once(p, kind));
-        std::sort(runs.begin(), runs.end(),
-                  [](const SchedRun& a, const SchedRun& b) { return a.wall_ms < b.wall_ms; });
-        return runs[runs.size() / 2];
-    };
-
-    const SchedRun heap = median(sim::SchedulerKind::BinaryHeap);
-    const SchedRun cal = median(sim::SchedulerKind::Calendar);
-    const bool identical = heap.events == cal.events && heap.snapshot == cal.snapshot;
-    const double speedup = cal.wall_ms > 0 ? heap.wall_ms / cal.wall_ms : 0.0;
-    calendar_events_per_sec =
-        cal.wall_ms > 0 ? static_cast<double>(cal.events) / (cal.wall_ms / 1e3) : 0.0;
-    identical_out = identical;
-
-    std::printf("\nscheduler comparison (seed-1 city, %" PRIu64
-                " events, median of %d):\n",
-                cal.events, reps);
-    std::printf("  binary heap %10.1f ms   calendar queue %10.1f ms   %.2fx   identical=%s\n",
-                heap.wall_ms, cal.wall_ms, speedup, bench::yn(identical));
-
-    obs::JsonValue::Object o;
-    o["events"] = cal.events;
-    o["heap_wall_ms"] = heap.wall_ms;
-    o["calendar_wall_ms"] = cal.wall_ms;
-    o["speedup"] = speedup;
-    o["identical"] = identical;
-    o["reps"] = reps;
-    return o;
+    return {city.events_fired(), std::chrono::duration<double, std::milli>(t1 - t0).count()};
 }
 
 /// ISSUE 7 / PR 8: the city-scale observability overhead — the same
@@ -257,8 +207,9 @@ obs::JsonValue::Object measure_scheduler(const bench::HarnessOptions& opt,
 /// dirty-feed rebuild buys at city scale. (CitySim has no per-packet
 /// trace recorder — its observability cost is the sampler plus the
 /// arena-backed decision log, which is exactly what this isolates.)
+/// @p events_per_sec receives the delta (product-default) run's rate.
 obs::JsonValue::Object measure_observability(const bench::HarnessOptions& opt,
-                                             const CityParams& p) {
+                                             const CityParams& p, double& events_per_sec) {
     const int reps = opt.pick(3, 2);
     CityParams off = p;
     off.metrics_interval = 0;  // sampler never constructed
@@ -270,13 +221,13 @@ obs::JsonValue::Object measure_observability(const bench::HarnessOptions& opt,
     // Interleaved reps (off, delta, walk, off, ...): measuring all reps
     // of one configuration in a block lets machine-state drift across the
     // blocks masquerade as sampler overhead; alternating spreads it.
-    run_city_once(off, sim::SchedulerKind::Calendar);  // warm-up, discarded
-    run_city_once(delta, sim::SchedulerKind::Calendar);
+    run_city_once(off);  // warm-up, discarded
+    const std::uint64_t events = run_city_once(delta).events;
     std::vector<double> off_walls, delta_walls, walk_walls;
     for (int i = 0; i < reps; ++i) {
-        off_walls.push_back(run_city_once(off, sim::SchedulerKind::Calendar).wall_ms);
-        delta_walls.push_back(run_city_once(delta, sim::SchedulerKind::Calendar).wall_ms);
-        walk_walls.push_back(run_city_once(walk, sim::SchedulerKind::Calendar).wall_ms);
+        off_walls.push_back(run_city_once(off).wall_ms);
+        delta_walls.push_back(run_city_once(delta).wall_ms);
+        walk_walls.push_back(run_city_once(walk).wall_ms);
     }
     const auto median = [](std::vector<double>& walls) {
         std::sort(walls.begin(), walls.end());
@@ -287,6 +238,7 @@ obs::JsonValue::Object measure_observability(const bench::HarnessOptions& opt,
     const double walk_ms = median(walk_walls);
     const double pct = off_ms > 0 ? (delta_ms - off_ms) / off_ms * 100.0 : 0.0;
     const double walk_pct = off_ms > 0 ? (walk_ms - off_ms) / off_ms * 100.0 : 0.0;
+    events_per_sec = delta_ms > 0 ? static_cast<double>(events) / (delta_ms / 1e3) : 0.0;
 
     std::printf("\nobservability overhead (seed-1 city, median of %d):\n", reps);
     std::printf("  sampler off %10.1f ms   delta %10.1f ms (%+.1f%%)   full walk "
@@ -350,9 +302,7 @@ void print_figure(const bench::HarnessOptions& opt) {
         "A hierarchical metro topology (backbone -> regionals -> radio\n"
         "cells) carrying a seeded population of commuter flocks, transit\n"
         "riders and solo walkers. The seed sweep must be byte-identical\n"
-        "at any --jobs; the scheduler section runs the same city on the\n"
-        "seed binary heap and the calendar queue and requires identical\n"
-        "behaviour before comparing wall clocks.");
+        "at any --jobs.");
 
     const CityParams p = params(opt);
     const int compare_jobs = opt.jobs > 1 ? opt.jobs : 2;
@@ -405,11 +355,8 @@ void print_figure(const bench::HarnessOptions& opt) {
 
     // Sections 3 and 4.
     obs::JsonValue::Object find_link = measure_find_link(opt);
-    bool sched_identical = false;
     double events_per_sec = 0.0;
-    obs::JsonValue::Object scheduler =
-        measure_scheduler(opt, p, sched_identical, events_per_sec);
-    obs::JsonValue::Object observability = measure_observability(opt, p);
+    obs::JsonValue::Object observability = measure_observability(opt, p, events_per_sec);
 
     obs::JsonValue::Object city;
     city["smoke"] = opt.smoke;
@@ -425,16 +372,14 @@ void print_figure(const bench::HarnessOptions& opt) {
     city["artifacts_identical"] = identical_sweep;
     city["compare_jobs"] = compare_jobs;
     city["find_link"] = std::move(find_link);
-    city["scheduler"] = std::move(scheduler);
     city["observability"] = std::move(observability);
     merge_into_perf_report(opt, std::move(city));
 
-    std::printf("\ncity events/sec (single core, calendar queue): %.0f\n", events_per_sec);
+    std::printf("\ncity events/sec (single core): %.0f\n", events_per_sec);
 
-    if (serial.failures() > 0 || !identical_sweep || !sched_identical) {
-        std::printf("\nFAIL: %zu job failures, sweep identical=%s, scheduler identical=%s\n",
-                    serial.failures(), bench::yn(identical_sweep),
-                    bench::yn(sched_identical));
+    if (serial.failures() > 0 || !identical_sweep) {
+        std::printf("\nFAIL: %zu job failures, sweep identical=%s\n", serial.failures(),
+                    bench::yn(identical_sweep));
         std::exit(1);
     }
 }

@@ -25,7 +25,6 @@ CitySim::CitySim(CityConfig config)
     : config_(config),
       topo_(config.metro),
       pop_(topo_, config.population),
-      sim_(config.scheduler),
       decisions_(&sim_.record_arena()),
       tables_(static_cast<std::size_t>(config.metro.home_agents)) {
     if (config_.duration <= 0 || config_.sample_interval <= 0 ||
@@ -467,8 +466,7 @@ void CitySim::run() {
     }
 
     // Stagger every host's sampling phase inside the interval so 10k
-    // timers spread across it instead of beating on the same instant —
-    // exactly the access pattern the calendar queue is built for.
+    // timers spread across it instead of beating on the same instant.
     for (MetroHost* host : pop_.hosts()) {
         const sim::Duration stagger = static_cast<sim::Duration>(
             mobility::mix_seed(config_.population.seed ^ kStaggerTag ^ host->index) %

@@ -23,8 +23,7 @@
 // registrations with hop-proportional latency and epoch guards against
 // stale completions, 80%-of-lifetime renewals, storm-window decay, home
 // agent GC, and probe sweeps. Everything is a pure function of the
-// config, so runs are byte-reproducible under either SchedulerKind and
-// at any SweepRunner --jobs.
+// config, so runs are byte-reproducible at any SweepRunner --jobs.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +87,6 @@ struct CityOverloadConfig {
 struct CityConfig {
     MetroConfig metro;
     PopulationConfig population;
-    sim::SchedulerKind scheduler = sim::SchedulerKind::Calendar;
     /// Simulated span of the run.
     sim::Duration duration = sim::seconds(600);
     /// Per-host radio sampling interval (each host is staggered inside it).

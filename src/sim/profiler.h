@@ -8,9 +8,9 @@
 //   * per-event-kind dispatch counts and wall-clock time (events are
 //     tagged at their schedule site: "frame-delivery", "tcp-rto",
 //     "handoff-sample", ...; untagged events fall under "event")
-//   * high-water marks for the event-queue depth and the cancelled-set
-//     size (the two structures whose growth governs memory and the
-//     O(log n) push/pop cost)
+//   * high-water marks for the event-queue depth and the cancelled
+//     backlog (the dead keys inside it; together they govern memory and
+//     the O(log n) push/pop cost)
 //
 // Cost model: when no profiler is attached (the default) the simulator
 // pays a single pointer comparison per event — the guard is at attach

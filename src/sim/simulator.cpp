@@ -13,54 +13,113 @@ EventId Simulator::schedule_at(TimePoint when, std::function<void()> action,
     if (when < now_) {
         throw std::logic_error("Simulator::schedule_at in the past");
     }
-    const EventId id = next_id_++;
-    if (kind_ == SchedulerKind::Calendar) {
-        calendar_.push(SchedEvent{when, id, std::move(action), kind});
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+        if (slots_.size() == std::numeric_limits<std::uint32_t>::max()) {
+            throw std::length_error("Simulator: too many pending events");
+        }
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
     } else {
-        heap_.push(SchedEvent{when, id, std::move(action), kind});
+        slot = free_slots_.back();
+        free_slots_.pop_back();
     }
-    return id;
+    Slot& s = slots_[slot];
+    s.action = std::move(action);
+    s.kind = kind;
+    s.live = true;
+    heap_push(Key{when, next_seq_++, slot});
+    return (static_cast<EventId>(s.generation) << 32) | (EventId{slot} + 1);
 }
 
-bool Simulator::pop_next(TimePoint limit, SchedEvent& out) {
-    if (kind_ == SchedulerKind::Calendar) {
-        return calendar_.pop_if(limit, out);
+void Simulator::cancel(EventId id) {
+    // id 0 wraps to a huge index and falls out with the never-issued ones.
+    const std::uint64_t slot = (id & 0xffff'ffffu) - 1;
+    if (slot >= slots_.size()) return;
+    Slot& s = slots_[slot];
+    if (!s.live || s.generation != static_cast<std::uint32_t>(id >> 32)) return;
+    s.live = false;
+    ++s.generation;
+    ++dead_;
+    // Destroy the callable from a local: its captures' destructors may
+    // schedule or cancel, which can grow slots_ under `s`.
+    const std::function<void()> doomed = std::move(s.action);
+}
+
+void Simulator::heap_push(Key key) {
+    std::size_t i = heap_.size();
+    heap_.push_back(key);
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 4;
+        if (!before(key, heap_[parent])) break;
+        heap_[i] = heap_[parent];
+        i = parent;
     }
-    if (heap_.empty() || heap_.top().when > limit) return false;
-    out = heap_.top();
-    heap_.pop();
-    return true;
+    heap_[i] = key;
+}
+
+void Simulator::heap_pop() {
+    const Key last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return;
+    std::size_t i = 0;
+    while (true) {
+        const std::size_t first = 4 * i + 1;
+        if (first >= n) break;
+        std::size_t best = first;
+        const std::size_t end = first + 4 < n ? first + 4 : n;
+        for (std::size_t c = first + 1; c < end; ++c) {
+            if (before(heap_[c], heap_[best])) best = c;
+        }
+        if (!before(heap_[best], last)) break;
+        heap_[i] = heap_[best];
+        i = best;
+    }
+    heap_[i] = last;
 }
 
 bool Simulator::fire_next(TimePoint limit) {
-    SchedEvent ev;
-    while (pop_next(limit, ev)) {
-        if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-            cancelled_.erase(it);
+    while (!heap_.empty() && heap_.front().when <= limit) {
+        const Key top = heap_.front();
+        heap_pop();
+        // Slots are reused out of time order, so the next event's slot is
+        // usually a cache miss: start loading it under this handler.
+        if (!heap_.empty()) __builtin_prefetch(&slots_[heap_.front().slot]);
+        Slot& s = slots_[top.slot];
+        if (!s.live) {
+            --dead_;
+            free_slots_.push_back(top.slot);
             continue;
         }
-        now_ = ev.when;
+        // Move the callable out and free the slot before running it: the
+        // handler may schedule (reusing this slot, growing slots_) or
+        // cancel its own, now stale, handle.
+        const std::function<void()> action = std::move(s.action);
+        const char* kind = s.kind;
+        s.live = false;
+        ++s.generation;
+        free_slots_.push_back(top.slot);
+
+        now_ = top.when;
         ++events_fired_;
         if (profiler_ != nullptr) {
             // Attach-time guard: the disabled path above pays only the
-            // nullptr compare. Queue/cancelled sizes are read after the
+            // nullptr compare. Queue/backlog sizes are read after the
             // handler so the gauges see what the handler scheduled.
             const auto t0 = std::chrono::steady_clock::now();
-            ev.action();
+            action();
             const auto t1 = std::chrono::steady_clock::now();
             profiler_->record(
-                ev.kind,
+                kind,
                 static_cast<std::uint64_t>(
                     std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()),
-                pending_events(), cancelled_.size());
+                pending_events(), dead_);
         } else {
-            ev.action();
+            action();
         }
         return true;
     }
-    // Queue drained: every surviving cancellation is stale (its event
-    // already fired before cancel() was called) and can never match again.
-    if (pending_events() == 0) cancelled_.clear();
     return false;
 }
 

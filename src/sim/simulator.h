@@ -5,22 +5,26 @@
 // instant fire in scheduling order (a monotonically increasing sequence
 // number breaks ties), which makes whole-network runs bit-reproducible.
 //
-// The queue behind that contract is selectable at construction (see
-// event_queue.h): the default is the indexed calendar queue, which keeps
-// enqueue/dequeue ~O(1) when a city-scale scenario parks tens of
-// thousands of host timers in flight; SchedulerKind::BinaryHeap is the
-// seed std::priority_queue, kept for equivalence tests and before/after
-// benchmarking. Both dispatch the identical event sequence.
+// The queue is split in two. The events' callables live in a slab of
+// slots that is recycled through a free list, so a closure is moved once
+// on schedule and once on dispatch and never again. A 4-ary implicit
+// min-heap orders only small POD keys (when, sequence, slot) that point
+// into that slab, so sifting moves 24 bytes, not a std::function. This
+// one structure serves both access patterns the library has: a World's
+// microsecond-spaced frame deliveries over a few hundred far-future
+// timers, and a city's tens of thousands of staggered host timers.
+//
+// An EventId names a slot and the slot's generation. cancel() marks a
+// live slot dead and ignores a handle whose event already fired or was
+// cancelled; a dead key leaves the heap when it reaches the top, and only
+// those keys count as cancelled backlog.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "net/pool.h"
-#include "sim/event_queue.h"
 #include "sim/record_arena.h"
 #include "sim/time.h"
 
@@ -28,22 +32,18 @@ namespace mip::sim {
 
 class SimProfiler;
 
-/// Which priority structure orders the event queue. The choice never
-/// changes behaviour — (when, id) is a total order — only speed.
-enum class SchedulerKind {
-    BinaryHeap,  ///< seed scheduler: std::priority_queue, O(log n)
-    Calendar,    ///< indexed calendar queue, amortized O(1) (default)
-};
+/// Handle for cancelling a scheduled event: the slot index plus one in
+/// the low 32 bits (so 0 is never a handle) and the slot's generation in
+/// the high 32 bits. Opaque to callers.
+using EventId = std::uint64_t;
 
 class Simulator {
 public:
-    explicit Simulator(SchedulerKind scheduler = SchedulerKind::Calendar)
-        : kind_(scheduler) {}
+    Simulator() = default;
     Simulator(const Simulator&) = delete;
     Simulator& operator=(const Simulator&) = delete;
 
     TimePoint now() const noexcept { return now_; }
-    SchedulerKind scheduler() const noexcept { return kind_; }
 
     /// Schedules @p action to run at absolute time @p when (>= now).
     /// @p kind tags the event for the self-profiler ("frame-delivery",
@@ -58,14 +58,11 @@ public:
         return schedule_at(now_ + delay, std::move(action), kind);
     }
 
-    /// Cancels a pending event. Cancelling an already-fired or unknown id
-    /// is a harmless no-op (timers race with the events that cancel them).
-    /// Stale ids — cancelled after their event fired — are swept whenever
-    /// the queue drains, so the set cannot grow without bound.
-    void cancel(EventId id) {
-        if (id == 0 || id >= next_id_) return;  // never scheduled
-        cancelled_.insert(id);
-    }
+    /// Cancels a pending event and releases its callable. Cancelling an
+    /// already-fired, already-cancelled or unknown id is a harmless no-op
+    /// (timers race with the events that cancel them) and leaves nothing
+    /// behind.
+    void cancel(EventId id);
 
     /// Runs until the queue drains or @p max_events fire. Returns the
     /// number of events executed.
@@ -105,12 +102,11 @@ public:
     RecordArena& record_arena() noexcept { return record_arena_; }
     const RecordArena& record_arena() const noexcept { return record_arena_; }
 
-    std::size_t pending_events() const noexcept {
-        return kind_ == SchedulerKind::Calendar ? calendar_.size() : heap_.size();
-    }
-    /// Cancellations not yet matched to their event (pending or stale).
-    /// Observability hook for the leak regression tests.
-    std::size_t cancelled_backlog() const noexcept { return cancelled_.size(); }
+    /// Keys in the queue, live and cancelled-but-not-yet-popped alike.
+    std::size_t pending_events() const noexcept { return heap_.size(); }
+    /// Cancelled events whose keys are still in the queue. Stale cancels
+    /// never count, so this is bounded by pending_events().
+    std::size_t cancelled_backlog() const noexcept { return dead_; }
 
     /// Cumulative count of events dispatched over the simulator's lifetime
     /// (bench_perf's events/sec numerator; monotone, never reset).
@@ -125,23 +121,39 @@ public:
     static constexpr std::size_t kDefaultEventLimit = 10'000'000;
 
 private:
-    struct Later {
-        bool operator()(const SchedEvent& a, const SchedEvent& b) const noexcept {
-            return fires_before(b, a);
-        }
+    /// What the heap orders. (when, seq) is the total order; seq is
+    /// unique, so slot never breaks a tie.
+    struct Key {
+        TimePoint when;
+        std::uint64_t seq;
+        std::uint32_t slot;
     };
 
-    /// Moves the earliest event with timestamp <= @p limit into @p out,
-    /// whichever queue holds it. False when none qualifies.
-    bool pop_next(TimePoint limit, SchedEvent& out);
+    /// One event's payload. A slot is free (on free_slots_), live (its
+    /// key is queued and its handle cancels it) or dead (cancelled, its
+    /// key still queued). Leaving the live state bumps the generation,
+    /// which is what turns outstanding handles stale.
+    struct Slot {
+        std::function<void()> action;
+        const char* kind = nullptr;  ///< profiler tag; nullptr = generic "event"
+        std::uint32_t generation = 0;
+        bool live = false;
+    };
 
-    /// Fires the next non-cancelled event with timestamp <= @p limit.
-    /// Returns false when none qualifies (cancelled events up to the limit
-    /// are purged either way).
+    static bool before(const Key& a, const Key& b) noexcept {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
+
+    void heap_push(Key key);
+    void heap_pop();
+
+    /// Fires the next live event with timestamp <= @p limit. Returns
+    /// false when none qualifies (dead keys up to the limit are freed
+    /// either way).
     bool fire_next(TimePoint limit);
 
     TimePoint now_ = 0;
-    EventId next_id_ = 1;
+    std::uint64_t next_seq_ = 0;
     std::uint64_t next_packet_id_ = 1;
     std::uint32_t next_mac_id_ = 1;
     std::uint16_t next_ping_ident_ = 1;
@@ -149,10 +161,10 @@ private:
     RecordArena record_arena_;
     std::uint64_t events_fired_ = 0;
     SimProfiler* profiler_ = nullptr;
-    SchedulerKind kind_;
-    std::priority_queue<SchedEvent, std::vector<SchedEvent>, Later> heap_;
-    CalendarQueue calendar_;
-    std::unordered_set<EventId> cancelled_;
+    std::vector<Key> heap_;  ///< 4-ary: children of i are 4i+1 .. 4i+4
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_slots_;
+    std::size_t dead_ = 0;
 };
 
 }  // namespace mip::sim

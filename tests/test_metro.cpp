@@ -23,8 +23,7 @@ namespace {
 /// A small-but-real city: 36 cells, hundreds of hosts, a couple of
 /// simulated minutes — big enough to exercise handoffs, renewals, storm
 /// windows and probes, small enough for the unit-test budget.
-CityConfig small_city(std::uint64_t seed,
-                      sim::SchedulerKind kind = sim::SchedulerKind::Calendar) {
+CityConfig small_city(std::uint64_t seed) {
     CityConfig cfg;
     cfg.metro.cells_x = 6;
     cfg.metro.cells_y = 6;
@@ -32,7 +31,6 @@ CityConfig small_city(std::uint64_t seed,
     cfg.population.hosts = 400;
     cfg.population.seed = seed;
     cfg.population.metro_lines = 2;
-    cfg.scheduler = kind;
     cfg.duration = sim::seconds(120);
     cfg.registration_lifetime = sim::seconds(60);
     cfg.storm_threshold = 25;
@@ -229,6 +227,23 @@ TEST(CitySim, RunIsDeterministicAndPopulatesEveryPipeline) {
         a.metrics().counter("city", "metro", "probes_delivered").value();
     EXPECT_GT(delivered * 10, a.probes_total() * 9)
         << "fewer than 90% of probes deliverable";
+}
+
+TEST(CitySim, DispatchOrderIsPinned) {
+    // Golden pin of the city's dispatch order (see
+    // test_scheduler_equivalence.cpp): events fired plus an FNV-1a hash
+    // of the metrics snapshot, captured from the scheduler this queue
+    // replaced. Tens of thousands of far-future timers and same-instant
+    // ties make this the densest ordering check in the suite.
+    CitySim city(small_city(1));
+    city.run();
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char c : city.snapshot_json("test", "x")) {
+        hash ^= static_cast<std::uint8_t>(c);
+        hash *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(city.events_fired(), 28516u);
+    EXPECT_EQ(hash, 0x2f207e6244c2ade5ull);
 }
 
 TEST(CitySim, ExportedDocumentsConformToSchemas) {

@@ -1,16 +1,20 @@
-// Calendar-queue equivalence (ISSUE 6 satellite): the indexed calendar
-// scheduler must be a drop-in replacement for the seed binary heap —
-// not "statistically similar", but firing the *identical* event
-// sequence, so every artifact a scenario exports is byte-identical
-// under either SchedulerKind. Each scenario here runs twice, once per
-// kind, and compares events_fired plus the full metrics snapshot JSON.
+// Golden dispatch-order pins. The simulator's ordering contract is a total
+// order — (when, schedule sequence) ascending — so a scenario fires one
+// exact event sequence whatever structure holds the queue. Each scenario
+// here pins that sequence by two figures: the number of events fired and
+// an FNV-1a hash of the full metrics snapshot JSON.
 //
-// (The pure queue-ordering properties live in test_sim.cpp; the
-// city-scale run is compared the same way inside bench_city.)
+// The constants were captured on the binary-heap/calendar-queue scheduler
+// the current queue replaced, so they pin it to that dispatch order. These
+// scenarios have few same-instant ties, so the pins guard time order more
+// than the tie break; the ordering tests in test_sim.cpp guard the tie
+// break. The city-scale pin lives in test_metro.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,6 +33,23 @@ struct RunResult {
     std::uint64_t payload = 0;  ///< scenario-specific progress figure
 };
 
+std::uint64_t fnv1a(std::string_view s) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : s) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+void expect_pinned(const RunResult& r, std::uint64_t payload, std::uint64_t events,
+                   std::uint64_t metrics_hash) {
+    EXPECT_EQ(r.payload, payload);
+    EXPECT_EQ(r.events, events) << "dispatch order changed: events_fired moved";
+    EXPECT_EQ(fnv1a(r.metrics_json), metrics_hash)
+        << "dispatch order changed: metrics snapshot is no longer byte-identical";
+}
+
 void serve_echo(CorrespondentHost& ch, std::uint16_t port) {
     ch.tcp().listen(port, [](transport::TcpConnection& c) {
         c.set_data_callback([&c](std::span<const std::uint8_t> d, const transport::RxMeta&) {
@@ -38,10 +59,8 @@ void serve_echo(CorrespondentHost& ch, std::uint16_t port) {
 }
 
 /// Registration plus a paced ping train across the backbone.
-RunResult run_ping_scenario(sim::SchedulerKind kind) {
-    WorldConfig cfg;
-    cfg.scheduler = kind;
-    World world{cfg};
+RunResult run_ping_scenario() {
+    World world{WorldConfig{}};
     CorrespondentHost& ch = world.create_correspondent({}, Placement::CorrLan);
     MobileHost& mh = world.create_mobile_host();
     EXPECT_TRUE(world.attach_mobile_foreign());
@@ -55,16 +74,13 @@ RunResult run_ping_scenario(sim::SchedulerKind kind) {
         world.run_for(sim::milliseconds(700));
     }
     world.run_for(sim::seconds(3));
-    EXPECT_GT(replies, 0u);
     return {world.sim.events_fired(),
             world.metrics.snapshot_json("equiv", "ping", world.sim.now()), replies};
 }
 
 /// A TCP echo conversation through the home-agent tunnel.
-RunResult run_tcp_scenario(sim::SchedulerKind kind) {
-    WorldConfig cfg;
-    cfg.scheduler = kind;
-    World world{cfg};
+RunResult run_tcp_scenario() {
+    World world{WorldConfig{}};
     CorrespondentHost& ch = world.create_correspondent({}, Placement::CorrLan);
     serve_echo(ch, 7601);
     MobileHost& mh = world.create_mobile_host();
@@ -76,17 +92,14 @@ RunResult run_tcp_scenario(sim::SchedulerKind kind) {
     conn.set_data_callback([&](std::span<const std::uint8_t> d, const transport::RxMeta&) { echoed += d.size(); });
     conn.send(std::vector<std::uint8_t>(4000, 6));
     world.run_for(sim::seconds(15));
-    EXPECT_EQ(echoed, 4000u);
     return {world.sim.events_fired(),
             world.metrics.snapshot_json("equiv", "tcp", world.sim.now()), echoed};
 }
 
 /// A random-waypoint journey under the handoff controller: stochastic
 /// motion, registrations, renewals and tunnelling all on one queue.
-RunResult run_mobility_scenario(sim::SchedulerKind kind) {
-    WorldConfig cfg;
-    cfg.scheduler = kind;
-    World world{cfg};
+RunResult run_mobility_scenario() {
+    World world{WorldConfig{}};
     world.create_mobile_host();
 
     mobility::RandomWaypointMobility::Config mc;
@@ -104,33 +117,21 @@ RunResult run_mobility_scenario(sim::SchedulerKind kind) {
     auto& hc = world.with_mobility(std::move(model), std::move(map));
     world.run_for(sim::seconds(30));
 
-    EXPECT_GE(hc.stats().handoff_count(), 1u);
     return {world.sim.events_fired(),
             world.metrics.snapshot_json("equiv", "journey", world.sim.now()),
             hc.stats().handoff_count()};
 }
 
-void expect_identical(const RunResult& heap, const RunResult& calendar) {
-    EXPECT_EQ(heap.payload, calendar.payload);
-    EXPECT_EQ(heap.events, calendar.events)
-        << "scheduler kinds fired different numbers of events";
-    EXPECT_EQ(heap.metrics_json, calendar.metrics_json)
-        << "metrics artifact must be byte-identical across scheduler kinds";
-}
-
 }  // namespace
 
-TEST(SchedulerEquivalence, PingTrainIsByteIdentical) {
-    expect_identical(run_ping_scenario(sim::SchedulerKind::BinaryHeap),
-                     run_ping_scenario(sim::SchedulerKind::Calendar));
+TEST(DispatchOrderPin, PingTrain) {
+    expect_pinned(run_ping_scenario(), 8, 177, 0x7477c5e30888226cull);
 }
 
-TEST(SchedulerEquivalence, TcpEchoIsByteIdentical) {
-    expect_identical(run_tcp_scenario(sim::SchedulerKind::BinaryHeap),
-                     run_tcp_scenario(sim::SchedulerKind::Calendar));
+TEST(DispatchOrderPin, TcpEcho) {
+    expect_pinned(run_tcp_scenario(), 4000, 299, 0x99496b4e9f3906b6ull);
 }
 
-TEST(SchedulerEquivalence, RandomWaypointJourneyIsByteIdentical) {
-    expect_identical(run_mobility_scenario(sim::SchedulerKind::BinaryHeap),
-                     run_mobility_scenario(sim::SchedulerKind::Calendar));
+TEST(DispatchOrderPin, RandomWaypointJourney) {
+    expect_pinned(run_mobility_scenario(), 4, 375, 0x11f00fd1706ddfe6ull);
 }

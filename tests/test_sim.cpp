@@ -260,14 +260,16 @@ TEST(MacAddress, FormattingAndBroadcast) {
     EXPECT_EQ(m.to_string(), "02:00:00:00:12:34");
 }
 
+// ---- cancellation -----------------------------------------------------------
+
 TEST(Simulator, StaleCancellationsSweptWhenQueueDrains) {
     Simulator s;
     const EventId id = s.schedule_in(milliseconds(1), [] {});
     s.run();
     s.cancel(id);  // the event already fired: this cancellation is stale
-    EXPECT_EQ(s.cancelled_backlog(), 1u);
+    EXPECT_EQ(s.cancelled_backlog(), 0u) << "a stale cancel must leave nothing behind";
     s.schedule_in(milliseconds(1), [] {});
-    s.run();  // queue drains -> stale ids swept, no unbounded growth
+    s.run();
     EXPECT_EQ(s.cancelled_backlog(), 0u);
 }
 
@@ -277,9 +279,13 @@ TEST(Simulator, CancellationErasedWhenItsEventIsPurged) {
     const EventId id = s.schedule_in(milliseconds(1), [&] { ++fired; });
     s.schedule_in(milliseconds(2), [&] { ++fired; });
     s.cancel(id);
+    s.cancel(id);  // a second cancel of the same handle is stale
+    EXPECT_EQ(s.cancelled_backlog(), 1u);
+    EXPECT_EQ(s.pending_events(), 2u) << "the dead key stays queued until it surfaces";
     s.run();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(s.cancelled_backlog(), 0u);
+    EXPECT_EQ(s.pending_events(), 0u);
 }
 
 TEST(Simulator, CancelOfNeverScheduledIdIsIgnoredOutright) {
@@ -289,146 +295,230 @@ TEST(Simulator, CancelOfNeverScheduledIdIsIgnoredOutright) {
     EXPECT_EQ(s.cancelled_backlog(), 0u);
 }
 
-// ---- calendar queue (ISSUE 6: the indexed event queue) ----------------------
+TEST(Simulator, StaleCancelsNeverAccumulateInAQueueThatNeverDrains) {
+    // A periodic timer keeps the queue from ever draining, as a World's
+    // re-registrations and a city's host samplers do. Cancelling events
+    // that already fired must not leave anything behind.
+    Simulator s;
+    std::function<void()> tick = [&] { s.schedule_in(milliseconds(10), tick); };
+    s.schedule_in(milliseconds(10), tick);
+    std::vector<EventId> fired_ids;
+    for (int i = 0; i < 10'000; ++i) {
+        fired_ids.push_back(s.schedule_in(microseconds(i), [] {}));
+    }
+    s.run_until(milliseconds(20));
+    for (const EventId id : fired_ids) s.cancel(id);
+    EXPECT_EQ(s.cancelled_backlog(), 0u);
+    EXPECT_EQ(s.pending_events(), 1u) << "only the periodic timer remains";
+    s.run_until(seconds(1));
+    EXPECT_EQ(s.cancelled_backlog(), 0u);
+}
+
+TEST(Simulator, StaleHandleDoesNotCancelTheEventReusingItsSlot) {
+    Simulator s;
+    const EventId first = s.schedule_in(milliseconds(1), [] {});
+    s.run();
+    bool fired = false;
+    const EventId second = s.schedule_in(milliseconds(1), [&] { fired = true; });
+    EXPECT_NE(first, second);
+    s.cancel(first);
+    s.run();
+    EXPECT_TRUE(fired);
+}
+
+TEST(Simulator, HandlerCancellingItsOwnIdIsHarmless) {
+    Simulator s;
+    EventId self = 0;
+    int fired = 0;
+    self = s.schedule_in(milliseconds(1), [&] {
+        ++fired;
+        s.cancel(self);  // already fired: stale
+        s.schedule_in(milliseconds(1), [&] { ++fired; });
+    });
+    s.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(s.cancelled_backlog(), 0u);
+}
+
+// ---- dispatch order ---------------------------------------------------------
 
 #include <algorithm>
-#include <limits>
+#include <map>
 #include <random>
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
-
 namespace {
 
-/// Pops everything <= limit and returns the (when, id) sequence.
-std::vector<std::pair<TimePoint, EventId>> drain(CalendarQueue& q,
-                                                 TimePoint limit =
-                                                     std::numeric_limits<TimePoint>::max()) {
-    std::vector<std::pair<TimePoint, EventId>> out;
-    SchedEvent ev;
-    while (q.pop_if(limit, ev)) out.emplace_back(ev.when, ev.id);
-    return out;
+/// Schedules @p when for every entry, recording (when, schedule index) as
+/// each fires, and returns the fired sequence after run().
+std::vector<std::pair<TimePoint, int>> fire_all(const std::vector<TimePoint>& whens) {
+    Simulator s;
+    std::vector<std::pair<TimePoint, int>> fired;
+    for (int i = 0; i < static_cast<int>(whens.size()); ++i) {
+        s.schedule_at(whens[static_cast<std::size_t>(i)],
+                      [&fired, &s, i] { fired.emplace_back(s.now(), i); });
+    }
+    s.run();
+    return fired;
 }
 
 }  // namespace
 
-TEST(CalendarQueue, PopsInTotalEventOrder) {
-    CalendarQueue q;
+TEST(Simulator, FiresInTotalEventOrder) {
     std::mt19937_64 rng(42);
-    // Timestamps spanning ns to minutes: wildly non-uniform bucket load.
-    std::vector<std::pair<TimePoint, EventId>> expect;
-    for (EventId id = 1; id <= 2000; ++id) {
-        const TimePoint when =
+    // Timestamps spanning ns to minutes, with repeats.
+    std::vector<TimePoint> whens;
+    std::vector<std::pair<TimePoint, int>> expect;
+    for (int i = 0; i < 2000; ++i) {
+        TimePoint when =
             static_cast<TimePoint>(rng() % static_cast<std::uint64_t>(seconds(90)));
-        q.push({when, id, [] {}, nullptr});
-        expect.emplace_back(when, id);
+        if (i % 7 == 0 && i > 0) when = whens.back();  // a same-instant tie
+        whens.push_back(when);
+        expect.emplace_back(when, i);
     }
     std::sort(expect.begin(), expect.end());
-    EXPECT_EQ(q.size(), 2000u);
-    EXPECT_EQ(drain(q), expect);
-    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(fire_all(whens), expect);
 }
 
-TEST(CalendarQueue, SameInstantPopsInIdOrder) {
-    CalendarQueue q;
-    for (EventId id = 10; id >= 1; --id) q.push({seconds(1), id, [] {}, nullptr});
-    const auto got = drain(q);
-    ASSERT_EQ(got.size(), 10u);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].second, static_cast<EventId>(i + 1));
+TEST(Simulator, SameInstantFiresInScheduleOrderAmongOtherTimes) {
+    // Ten events at one instant, scheduled between earlier and later
+    // ones, still fire in the order they were scheduled.
+    std::vector<TimePoint> whens;
+    for (int i = 0; i < 10; ++i) {
+        whens.push_back(seconds(2) + milliseconds(i));
+        whens.push_back(seconds(1));
+        whens.push_back(milliseconds(i));
     }
-}
-
-TEST(CalendarQueue, PopIfRespectsLimit) {
-    CalendarQueue q;
-    q.push({seconds(5), 1, [] {}, nullptr});
-    SchedEvent ev;
-    EXPECT_FALSE(q.pop_if(seconds(4), ev)) << "earliest event is beyond the limit";
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_TRUE(q.pop_if(seconds(5), ev));
-    EXPECT_EQ(ev.id, 1u);
-}
-
-TEST(CalendarQueue, FarFutureEventDoesNotBlockNearOnes) {
-    CalendarQueue q;
-    // A far-future event hashes into some bucket modulo the bucket count;
-    // the year guard must defer it past every nearer event.
-    q.push({seconds(3600), 1, [] {}, nullptr});
-    for (EventId id = 2; id <= 64; ++id) {
-        q.push({milliseconds(static_cast<std::int64_t>(id)), id, [] {}, nullptr});
+    std::vector<int> at_one_second;
+    for (const auto& [when, index] : fire_all(whens)) {
+        if (when == seconds(1)) at_one_second.push_back(index);
     }
-    const auto got = drain(q);
-    ASSERT_EQ(got.size(), 64u);
-    EXPECT_EQ(got.back().second, 1u) << "the distant event must pop last";
-    for (std::size_t i = 0; i + 1 < got.size(); ++i) {
-        EXPECT_LE(got[i].first, got[i + 1].first);
-    }
+    EXPECT_EQ(at_one_second, (std::vector<int>{1, 4, 7, 10, 13, 16, 19, 22, 25, 28}));
 }
 
-TEST(CalendarQueue, InterleavedPushPopStaysOrdered) {
-    // The simulator's real access pattern: pop one, schedule a few more
-    // (sometimes earlier than the current scan position), repeat — with
-    // grows and shrinks happening along the way.
-    CalendarQueue q;
+TEST(Simulator, RunUntilIncludesItsBoundary) {
+    Simulator s;
+    int fired = 0;
+    s.schedule_at(seconds(5), [&] { ++fired; });
+    EXPECT_EQ(s.run_until(seconds(5) - 1), 0u) << "earliest event is beyond the limit";
+    EXPECT_EQ(s.pending_events(), 1u);
+    EXPECT_EQ(s.run_until(seconds(5)), 1u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(s.now(), seconds(5));
+}
+
+TEST(Simulator, FarFutureEventDoesNotBlockNearOnes) {
+    std::vector<TimePoint> whens{seconds(3600)};
+    for (int i = 1; i < 64; ++i) whens.push_back(milliseconds(i));
+    const auto fired = fire_all(whens);
+    ASSERT_EQ(fired.size(), 64u);
+    EXPECT_EQ(fired.back().second, 0) << "the distant event must fire last";
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+}
+
+TEST(Simulator, HandlersSchedulingMoreStayOrdered) {
+    // The real access pattern: fire one, schedule a few more (some at the
+    // current instant), repeat, while the queue grows and shrinks.
+    Simulator s;
     std::mt19937_64 rng(7);
-    EventId next_id = 1;
-    TimePoint now = 0;
-    std::vector<std::pair<TimePoint, EventId>> reference;  // what a sorted pop yields
-    for (int i = 0; i < 200; ++i) {
-        q.push({static_cast<TimePoint>(rng() % seconds(10)), next_id, [] {}, nullptr});
-        ++next_id;
-    }
-    std::vector<std::pair<TimePoint, EventId>> popped;
-    SchedEvent ev;
-    while (q.pop_if(std::numeric_limits<TimePoint>::max(), ev)) {
-        EXPECT_GE(ev.when, now) << "time went backwards";
-        now = ev.when;
-        popped.emplace_back(ev.when, ev.id);
-        if (next_id <= 5000 && rng() % 3 != 0) {
-            const TimePoint when = now + static_cast<TimePoint>(rng() % seconds(2));
-            q.push({when, next_id, [] {}, nullptr});
-            ++next_id;
+    int next = 0;
+    std::vector<std::pair<TimePoint, int>> fired;
+    std::function<void(int)> handler = [&](int index) {
+        fired.emplace_back(s.now(), index);
+        if (next < 5000 && rng() % 3 != 0) {
+            const Duration delay = rng() % 4 == 0 ? 0 : static_cast<Duration>(rng() % seconds(2));
+            const int child = next++;
+            s.schedule_in(delay, [&handler, child] { handler(child); });
         }
+    };
+    for (; next < 200;) {
+        const int index = next++;
+        s.schedule_at(static_cast<TimePoint>(rng() % seconds(10)),
+                      [&handler, index] { handler(index); });
     }
-    EXPECT_TRUE(q.empty());
-    // Every pop respected the total order relative to what was pending:
-    // verified by the monotone `now` above plus exact id coverage here.
-    EXPECT_EQ(popped.size(), static_cast<std::size_t>(next_id - 1));
-    reference = popped;
-    std::sort(reference.begin(), reference.end());
-    EXPECT_EQ(popped, reference) << "(when, id) pops must already be sorted";
+    s.run();
+    EXPECT_EQ(s.pending_events(), 0u);
+    EXPECT_EQ(fired.size(), static_cast<std::size_t>(next));
+    // Children are always scheduled at or after the current instant, and
+    // later indices at one instant were scheduled later: (when, index)
+    // must already be sorted.
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
-TEST(Simulator, HeapAndCalendarFireIdenticalSequences) {
-    const auto run = [](SchedulerKind kind) {
-        Simulator s(kind);
-        std::vector<EventId> fired;
-        std::mt19937_64 rng(99);
-        // Seed events that themselves schedule more events, some at the
-        // same instant, some cancelled.
-        std::function<void(int)> spawn = [&](int depth) {
-            fired.push_back(static_cast<EventId>(depth));
-            if (depth >= 3) return;
-            for (int i = 0; i < 3; ++i) {
-                const Duration d = static_cast<Duration>(rng() % seconds(1));
-                s.schedule_in(d, [&spawn, depth] { spawn(depth + 1); });
-            }
-            const EventId doomed =
-                s.schedule_in(milliseconds(1), [&fired] { fired.push_back(9999); });
-            s.cancel(doomed);
+TEST(Simulator, MatchesSortedReferenceUnderScheduleCancelRunUntil) {
+    // Property: against a std::multimap reference (equal keys keep
+    // insertion order, which is the schedule-sequence tie break), seeded
+    // interleavings of schedule, cancel (live and stale handles) and
+    // run_until fire the same tokens in the same order. Every fourth
+    // token schedules a child when it fires, on both sides.
+    const auto spawns = [](int token) { return token % 4 == 0; };
+    const auto child_delay = [](int token) { return (token % 3) * microseconds(100); };
+
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Simulator s;
+        std::mt19937_64 rng(seed);
+
+        // Simulator side.
+        std::vector<EventId> ids;  // by token
+        std::vector<int> fired;
+        std::function<std::function<void()>(int)> action = [&](int token) {
+            return [&, token] {
+                fired.push_back(token);
+                if (spawns(token)) {
+                    const std::size_t child = ids.size();
+                    ids.push_back(0);
+                    ids[child] = s.schedule_in(child_delay(token),
+                                               action(static_cast<int>(child)));
+                }
+            };
         };
-        for (int i = 0; i < 5; ++i) {
-            s.schedule_at(static_cast<TimePoint>(rng() % seconds(2)),
-                          [&spawn] { spawn(1); });
+
+        // Reference side.
+        using Ref = std::multimap<TimePoint, int>;
+        Ref ref;
+        std::vector<Ref::iterator> where;  // by token; valid while pending
+        std::vector<bool> pending;
+        const auto ref_add = [&](TimePoint when) {
+            where.push_back(ref.insert({when, static_cast<int>(where.size())}));
+            pending.push_back(true);
+        };
+
+        for (int step = 0; step < 400; ++step) {
+            const std::uint64_t op = rng() % 10;
+            if (op < 5) {
+                const TimePoint when =
+                    s.now() + (rng() % 20 == 0 ? seconds(3600)
+                                               : static_cast<Duration>(rng() % 50) *
+                                                     microseconds(100));
+                ids.push_back(s.schedule_at(when, action(static_cast<int>(ids.size()))));
+                ref_add(when);
+            } else if (op < 8 && !ids.empty()) {
+                const std::size_t token = rng() % ids.size();
+                s.cancel(ids[token]);
+                if (pending[token]) {
+                    ref.erase(where[token]);
+                    pending[token] = false;
+                }
+            } else {
+                const TimePoint until =
+                    s.now() + static_cast<Duration>(rng() % 30) * microseconds(100);
+                std::vector<int> expect;
+                while (!ref.empty() && ref.begin()->first <= until) {
+                    const auto [when, token] = *ref.begin();
+                    ref.erase(ref.begin());
+                    pending[static_cast<std::size_t>(token)] = false;
+                    expect.push_back(token);
+                    if (spawns(token)) ref_add(when + child_delay(token));
+                }
+                fired.clear();
+                s.run_until(until);
+                ASSERT_EQ(fired, expect) << "seed " << seed << " step " << step;
+                ASSERT_EQ(s.now(), until);
+            }
+            ASSERT_EQ(ids.size(), where.size());
+            ASSERT_EQ(s.pending_events() - s.cancelled_backlog(), ref.size())
+                << "seed " << seed << " step " << step;
         }
-        s.run();
-        return fired;
-    };
-    const auto heap = run(SchedulerKind::BinaryHeap);
-    const auto calendar = run(SchedulerKind::Calendar);
-    ASSERT_FALSE(heap.empty());
-    EXPECT_EQ(heap, calendar);
-    EXPECT_EQ(std::count(heap.begin(), heap.end(), 9999), 0)
-        << "cancelled events must not fire under either scheduler";
+    }
 }
