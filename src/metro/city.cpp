@@ -31,6 +31,12 @@ CitySim::CitySim(CityConfig config)
         config_.storm_window <= 0 || config_.registration_lifetime <= 0) {
         throw std::invalid_argument("CitySim: durations must be > 0");
     }
+    // The three timers every host re-arms one fixed delay out ride
+    // fixed-delay lanes (see sim/simulator.h); jittered delays stay on
+    // the heap.
+    sample_lane_ = sim_.lane(config_.sample_interval);
+    decay_lane_ = sim_.lane(config_.storm_window);
+    renewal_lane_ = sim_.lane(config_.registration_lifetime / 5 * 4);
 
     // Per-cell and per-agent metric handles are resolved once here; the
     // hot path bumps cached Counter references instead of re-hashing
@@ -128,14 +134,13 @@ void CitySim::sample_host(MetroHost* host) {
                                    true, "calm", "storm", "",
                                    "handoff rate crossed the storm threshold"});
             }
-            sim_.schedule_in(config_.storm_window,
+            sim_.schedule_on(decay_lane_,
                              [this, idx = cell.index] { --cells_[idx].window; },
                              "storm-decay");
         }
         begin_registration(host, /*renewal=*/false);
     }
-    sim_.schedule_in(config_.sample_interval, [this, host] { sample_host(host); },
-                     "city-sample");
+    sim_.schedule_on(sample_lane_, [this, host] { sample_host(host); }, "city-sample");
 }
 
 void CitySim::begin_registration(MetroHost* host, bool renewal) {
@@ -171,7 +176,7 @@ void CitySim::finish_registration(MetroHost* host, std::uint32_t epoch,
     AgentStats& as = agents_[host->home_agent];
     (renewal ? *as.renewals : *as.registrations).add();
     ++registrations_total_;
-    sim_.schedule_in(config_.registration_lifetime / 5 * 4,
+    sim_.schedule_on(renewal_lane_,
                      [this, host, epoch] {
                          if (host->epoch == epoch) begin_registration(host, /*renewal=*/true);
                      },

@@ -22,7 +22,12 @@
 // (staggered so 10k timers do not beat on one instant), in-flight
 // registrations with hop-proportional latency and epoch guards against
 // stale completions, 80%-of-lifetime renewals, storm-window decay, home
-// agent GC, and probe sweeps. Everything is a pure function of the
+// agent GC, and probe sweeps. The three timers re-armed one fixed delay
+// out (samples, storm decay, analytic renewals) ride the Simulator's
+// fixed-delay lanes, so tens of thousands of them cost a ring append and
+// one sift-down each instead of a full heap push and pop; jittered
+// delays (registration latency, the protected leg's renewal point,
+// retries) stay on the heap. Everything is a pure function of the
 // config, so runs are byte-reproducible at any SweepRunner --jobs.
 #pragma once
 
@@ -225,6 +230,11 @@ private:
     MetroTopology topo_;
     Population pop_;
     sim::Simulator sim_;
+    /// Fixed-delay lanes: sample_interval, storm_window and the analytic
+    /// renewal point (4/5 of registration_lifetime).
+    sim::Lane sample_lane_;
+    sim::Lane decay_lane_;
+    sim::Lane renewal_lane_;
     obs::MetricsRegistry registry_;
     obs::DecisionLog decisions_;
     std::unique_ptr<obs::MetricsSampler> sampler_;

@@ -1,5 +1,6 @@
 #include "net/fragmentation.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mip::net {
@@ -44,10 +45,21 @@ std::optional<Packet> Reassembler::add(const Packet& fragment, std::int64_t now_
     const auto& h = fragment.header();
     const Key key{h.src.value(), h.dst.value(), h.identification,
                   static_cast<std::uint8_t>(h.protocol)};
-    Partial& p = partial_[key];
-    if (p.pieces.empty()) {
-        p.started_ns = now_ns;
+    auto it = partial_.find(key);
+    if (it == partial_.end()) {
+        if (partial_.size() >= kMaxPartial) {
+            // Evict the oldest-started; min_element keeps the first of
+            // equals, so ties go to the smallest key, deterministically.
+            partial_.erase(std::min_element(
+                partial_.begin(), partial_.end(), [](const auto& a, const auto& b) {
+                    return a.second.started_ns < b.second.started_ns;
+                }));
+            ++evictions_;
+        }
+        it = partial_.emplace(key, Partial{}).first;
+        it->second.started_ns = now_ns;
     }
+    Partial& p = it->second;
     if (p.journey == 0) {
         p.journey = fragment.journey();
     }

@@ -23,9 +23,14 @@ namespace mip::net {
 std::vector<Packet> fragment(const Packet& packet, std::size_t mtu);
 
 /// Reassembles fragment streams. Keyed by (src, dst, id, protocol) per
-/// RFC 791. Incomplete datagrams are discarded after a timeout.
+/// RFC 791. Incomplete datagrams are discarded after a timeout, and at
+/// most kMaxPartial are held at once: a fragment opening one more evicts
+/// the oldest-started, so a flood of never-completed first fragments
+/// cannot grow the table without bound.
 class Reassembler {
 public:
+    static constexpr std::size_t kMaxPartial = 256;
+
     explicit Reassembler(std::int64_t timeout_ns = 30'000'000'000) : timeout_(timeout_ns) {}
 
     /// Adds a fragment (or passes through a complete datagram). Returns the
@@ -36,6 +41,8 @@ public:
     void expire(std::int64_t now_ns);
 
     std::size_t pending() const noexcept { return partial_.size(); }
+    /// Partial datagrams evicted to stay within kMaxPartial.
+    std::uint64_t evictions() const noexcept { return evictions_; }
 
 private:
     struct Key {
@@ -58,6 +65,7 @@ private:
 
     std::int64_t timeout_;
     std::map<Key, Partial> partial_;
+    std::uint64_t evictions_ = 0;
 };
 
 }  // namespace mip::net

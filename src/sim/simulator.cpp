@@ -8,11 +8,7 @@
 
 namespace mip::sim {
 
-EventId Simulator::schedule_at(TimePoint when, std::function<void()> action,
-                               const char* kind) {
-    if (when < now_) {
-        throw std::logic_error("Simulator::schedule_at in the past");
-    }
+std::uint32_t Simulator::acquire_slot(std::function<void()>&& action, const char* kind) {
     std::uint32_t slot;
     if (free_slots_.empty()) {
         if (slots_.size() == std::numeric_limits<std::uint32_t>::max()) {
@@ -28,8 +24,57 @@ EventId Simulator::schedule_at(TimePoint when, std::function<void()> action,
     s.action = std::move(action);
     s.kind = kind;
     s.live = true;
-    heap_push(Key{when, next_seq_++, slot});
-    return (static_cast<EventId>(s.generation) << 32) | (EventId{slot} + 1);
+    return slot;
+}
+
+EventId Simulator::schedule_at(TimePoint when, std::function<void()> action,
+                               const char* kind) {
+    if (when < now_) {
+        throw std::logic_error("Simulator::schedule_at in the past");
+    }
+    const std::uint32_t slot = acquire_slot(std::move(action), kind);
+    heap_push(Key{when, next_seq_++, slot, 0});
+    return handle(slot, slots_[slot].generation);
+}
+
+Lane Simulator::lane(Duration delay) {
+    if (delay < 0) {
+        throw std::invalid_argument("Simulator::lane with a negative delay");
+    }
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        if (lanes_[i].delay == delay) return Lane(static_cast<std::uint32_t>(i));
+    }
+    lanes_.emplace_back().delay = delay;
+    return Lane(static_cast<std::uint32_t>(lanes_.size() - 1));
+}
+
+EventId Simulator::schedule_on(Lane lane, std::function<void()> action, const char* kind) {
+    if (lane.index_ >= lanes_.size()) {
+        throw std::invalid_argument("Simulator::schedule_on: not one of this simulator's lanes");
+    }
+    const std::uint32_t slot = acquire_slot(std::move(action), kind);
+    LaneRing& l = lanes_[lane.index_];
+    // now_ never decreases and seq only grows, so this key sorts after
+    // every key already on the lane: appending keeps the ring ordered.
+    const Key key{now_ + l.delay, next_seq_++, slot, lane.index_ + 1};
+    if (!l.queued) {
+        l.queued = true;
+        heap_push(key);
+    } else {
+        if (l.size == l.ring.size()) {
+            // Grow to the next power of two, unrolling the ring in order.
+            std::vector<Key> grown(l.ring.empty() ? 16 : 2 * l.ring.size());
+            for (std::size_t i = 0; i < l.size; ++i) {
+                grown[i] = l.ring[(l.head + i) & (l.ring.size() - 1)];
+            }
+            l.ring = std::move(grown);
+            l.head = 0;
+        }
+        l.ring[(l.head + l.size) & (l.ring.size() - 1)] = key;
+        ++l.size;
+        ++lane_backlog_;
+    }
+    return handle(slot, slots_[slot].generation);
 }
 
 void Simulator::cancel(EventId id) {
@@ -58,11 +103,8 @@ void Simulator::heap_push(Key key) {
     heap_[i] = key;
 }
 
-void Simulator::heap_pop() {
-    const Key last = heap_.back();
-    heap_.pop_back();
+void Simulator::heap_replace_top(Key key) {
     const std::size_t n = heap_.size();
-    if (n == 0) return;
     std::size_t i = 0;
     while (true) {
         const std::size_t first = 4 * i + 1;
@@ -72,20 +114,36 @@ void Simulator::heap_pop() {
         for (std::size_t c = first + 1; c < end; ++c) {
             if (before(heap_[c], heap_[best])) best = c;
         }
-        if (!before(heap_[best], last)) break;
+        if (!before(heap_[best], key)) break;
         heap_[i] = heap_[best];
         i = best;
     }
-    heap_[i] = last;
+    heap_[i] = key;
 }
 
 bool Simulator::fire_next(TimePoint limit) {
     while (!heap_.empty() && heap_.front().when <= limit) {
         const Key top = heap_.front();
-        heap_pop();
-        // Slots are reused out of time order, so the next event's slot is
-        // usually a cache miss: start loading it under this handler.
-        if (!heap_.empty()) __builtin_prefetch(&slots_[heap_.front().slot]);
+        // Refill the root from the top's lane when the lane has a next
+        // key, else from the heap's last leaf, then sift it down once.
+        Key refill{};
+        LaneRing* lane = top.lane != 0 ? &lanes_[top.lane - 1] : nullptr;
+        if (lane != nullptr && lane->size != 0) {
+            refill = lane->ring[lane->head];
+            lane->head = (lane->head + 1) & (lane->ring.size() - 1);
+            --lane->size;
+            --lane_backlog_;
+        } else {
+            if (lane != nullptr) lane->queued = false;
+            refill = heap_.back();
+            heap_.pop_back();
+        }
+        if (!heap_.empty()) {
+            heap_replace_top(refill);
+            // Slots are reused out of time order, so the next event's slot
+            // is usually a cache miss: start loading it under this handler.
+            __builtin_prefetch(&slots_[heap_.front().slot]);
+        }
         Slot& s = slots_[top.slot];
         if (!s.live) {
             --dead_;

@@ -9,15 +9,23 @@
 // slots that is recycled through a free list, so a closure is moved once
 // on schedule and once on dispatch and never again. A 4-ary implicit
 // min-heap orders only small POD keys (when, sequence, slot) that point
-// into that slab, so sifting moves 24 bytes, not a std::function. This
-// one structure serves both access patterns the library has: a World's
-// microsecond-spaced frame deliveries over a few hundred far-future
-// timers, and a city's tens of thousands of staggered host timers.
+// into that slab, so sifting moves 24 bytes, not a std::function.
+//
+// Fixed-delay lanes sit under the heap. A lane is a FIFO ring of the same
+// keys for one delay: every key appended to it is due at now + delay, and
+// since now never decreases and sequence numbers only grow, a lane is
+// already sorted by (when, sequence). Only a lane's head key is in the
+// heap; popping it replaces the heap top with the lane's next key in one
+// sift-down. A city's periodic host timers (each re-armed one fixed
+// interval out) therefore cost a ring append and a sift-down instead of a
+// full heap push and pop, and dispatch order is unchanged. Lanes are
+// opt-in (lane(), schedule_on()): a World's per-frame delays vary, and
+// giving every delay a lane of its own would only churn rings.
 //
 // An EventId names a slot and the slot's generation. cancel() marks a
 // live slot dead and ignores a handle whose event already fired or was
-// cancelled; a dead key leaves the heap when it reaches the top, and only
-// those keys count as cancelled backlog.
+// cancelled; a dead key leaves the heap or its lane when it reaches the
+// top, and only those keys count as cancelled backlog.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +44,19 @@ class SimProfiler;
 /// the low 32 bits (so 0 is never a handle) and the slot's generation in
 /// the high 32 bits. Opaque to callers.
 using EventId = std::uint64_t;
+
+/// Handle for one of a Simulator's fixed-delay lanes (Simulator::lane()).
+/// A default-constructed Lane names no lane; scheduling on it throws.
+class Lane {
+public:
+    Lane() = default;
+    bool operator==(const Lane&) const = default;
+
+private:
+    friend class Simulator;
+    explicit Lane(std::uint32_t index) noexcept : index_(index) {}
+    std::uint32_t index_ = UINT32_MAX;
+};
 
 class Simulator {
 public:
@@ -57,6 +78,16 @@ public:
                         const char* kind = nullptr) {
         return schedule_at(now_ + delay, std::move(action), kind);
     }
+
+    /// Returns this simulator's lane for @p delay (>= 0), creating it on
+    /// first use; the same delay always yields the same lane.
+    Lane lane(Duration delay);
+
+    /// Schedules @p action to run @p lane's delay from now. Behaves exactly
+    /// like schedule_in(delay, ...) — same dispatch order, same cancellable
+    /// EventId — but is cheaper for a timer re-armed at one fixed delay.
+    EventId schedule_on(Lane lane, std::function<void()> action,
+                        const char* kind = nullptr);
 
     /// Cancels a pending event and releases its callable. Cancelling an
     /// already-fired, already-cancelled or unknown id is a harmless no-op
@@ -102,8 +133,9 @@ public:
     RecordArena& record_arena() noexcept { return record_arena_; }
     const RecordArena& record_arena() const noexcept { return record_arena_; }
 
-    /// Keys in the queue, live and cancelled-but-not-yet-popped alike.
-    std::size_t pending_events() const noexcept { return heap_.size(); }
+    /// Keys in the queue (heap and lanes), live and cancelled-but-not-yet-
+    /// popped alike.
+    std::size_t pending_events() const noexcept { return heap_.size() + lane_backlog_; }
     /// Cancelled events whose keys are still in the queue. Stale cancels
     /// never count, so this is bounded by pending_events().
     std::size_t cancelled_backlog() const noexcept { return dead_; }
@@ -121,12 +153,24 @@ public:
     static constexpr std::size_t kDefaultEventLimit = 10'000'000;
 
 private:
-    /// What the heap orders. (when, seq) is the total order; seq is
-    /// unique, so slot never breaks a tie.
+    /// What the heap and the lanes order. (when, seq) is the total order;
+    /// seq is unique, so slot and lane never break a tie.
     struct Key {
         TimePoint when;
         std::uint64_t seq;
         std::uint32_t slot;
+        std::uint32_t lane;  ///< lane index + 1 for a lane key; 0 = a heap key
+    };
+    static_assert(sizeof(Key) == 24, "the lane tag must fit the key's padding");
+
+    /// A fixed-delay lane: a power-of-two ring of the keys queued behind
+    /// the one it has in the heap (queued says whether it has one).
+    struct LaneRing {
+        Duration delay = 0;
+        std::vector<Key> ring;
+        std::size_t head = 0;
+        std::size_t size = 0;
+        bool queued = false;
     };
 
     /// One event's payload. A slot is free (on free_slots_), live (its
@@ -144,8 +188,15 @@ private:
         return a.when != b.when ? a.when < b.when : a.seq < b.seq;
     }
 
+    /// Stores @p action in a free (or new) slot and marks it live.
+    std::uint32_t acquire_slot(std::function<void()>&& action, const char* kind);
+    static EventId handle(std::uint32_t slot, std::uint32_t generation) noexcept {
+        return (static_cast<EventId>(generation) << 32) | (EventId{slot} + 1);
+    }
+
     void heap_push(Key key);
-    void heap_pop();
+    /// Replaces the heap top with @p key and sifts it down.
+    void heap_replace_top(Key key);
 
     /// Fires the next live event with timestamp <= @p limit. Returns
     /// false when none qualifies (dead keys up to the limit are freed
@@ -164,6 +215,8 @@ private:
     std::vector<Key> heap_;  ///< 4-ary: children of i are 4i+1 .. 4i+4
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_slots_;
+    std::vector<LaneRing> lanes_;
+    std::size_t lane_backlog_ = 0;  ///< keys in lane rings (not in the heap)
     std::size_t dead_ = 0;
 };
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "net/fragmentation.h"
 
 using namespace mip::net;
@@ -133,4 +136,31 @@ TEST(Reassembly, PassthroughForWholePackets) {
     const auto result = r.add(p, 0);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->payload().size(), 64u);
+}
+
+TEST(Reassembly, FloodOfFirstFragmentsStaysWithinTheCap) {
+    // 10,000 datagrams that never complete (only their first fragment
+    // arrives) must not grow the table past kMaxPartial; the oldest are
+    // evicted and counted.
+    Reassembler r;
+    for (std::uint16_t id = 1; id <= 10'000; ++id) {
+        const auto pieces = fragment(make_test_packet(1600, id), 900);
+        EXPECT_FALSE(r.add(pieces[0], /*now_ns=*/id).has_value());
+        ASSERT_LE(r.pending(), Reassembler::kMaxPartial);
+    }
+    EXPECT_EQ(r.pending(), Reassembler::kMaxPartial);
+    EXPECT_EQ(r.evictions(), 10'000u - Reassembler::kMaxPartial);
+
+    // A datagram whose fragments all arrive after the flood still
+    // reassembles.
+    const auto original = make_test_packet(2600, 20'000);
+    const auto pieces = fragment(original, 900);
+    ASSERT_GT(pieces.size(), 2u);
+    std::optional<Packet> whole;
+    for (const Packet& piece : pieces) whole = r.add(piece, 20'000);
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_EQ(whole->header().identification, 20'000);
+    EXPECT_TRUE(std::equal(whole->payload().begin(), whole->payload().end(),
+                           original.payload().begin(), original.payload().end()));
+    EXPECT_LE(r.pending(), Reassembler::kMaxPartial);
 }

@@ -2,16 +2,23 @@
 // order — (when, schedule sequence) ascending — so a scenario fires one
 // exact event sequence whatever structure holds the queue. Each scenario
 // here pins that sequence by two figures: the number of events fired and
-// an FNV-1a hash of the full metrics snapshot JSON.
+// an FNV-1a hash of the full metrics snapshot JSON (or, for the bare
+// Simulator scenario, of its dispatch log).
 //
-// The constants were captured on the binary-heap/calendar-queue scheduler
-// the current queue replaced, so they pin it to that dispatch order. These
-// scenarios have few same-instant ties, so the pins guard time order more
-// than the tie break; the ordering tests in test_sim.cpp guard the tie
-// break. The city-scale pin lives in test_metro.cpp.
+// The World scenarios' constants were captured on the binary-heap/calendar-
+// queue scheduler the current queue replaced, so they pin it to that
+// dispatch order. They have few same-instant ties, so they guard time
+// order more than the tie break. SameInstantTies closes that gap: a bare
+// Simulator run dense with ties between lane keys, between lane and heap
+// keys, and from handlers scheduling at now. Its constants were captured
+// on the queue before fixed-delay lanes existed, with every lane schedule
+// written as the equivalent schedule_in; a LIFO tie break or a queue that
+// lets lane keys win ties fails it. The city-scale pin lives in
+// test_metro.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -20,6 +27,7 @@
 
 #include "core/scenario.h"
 #include "mobility/motion.h"
+#include "sim/simulator.h"
 #include "transport/pinger.h"
 
 using namespace mip;
@@ -29,7 +37,7 @@ namespace {
 
 struct RunResult {
     std::uint64_t events = 0;
-    std::string metrics_json;
+    std::string pinned;  ///< the text the pin hashes
     std::uint64_t payload = 0;  ///< scenario-specific progress figure
 };
 
@@ -43,11 +51,11 @@ std::uint64_t fnv1a(std::string_view s) {
 }
 
 void expect_pinned(const RunResult& r, std::uint64_t payload, std::uint64_t events,
-                   std::uint64_t metrics_hash) {
+                   std::uint64_t hash) {
     EXPECT_EQ(r.payload, payload);
     EXPECT_EQ(r.events, events) << "dispatch order changed: events_fired moved";
-    EXPECT_EQ(fnv1a(r.metrics_json), metrics_hash)
-        << "dispatch order changed: metrics snapshot is no longer byte-identical";
+    EXPECT_EQ(fnv1a(r.pinned), hash)
+        << "dispatch order changed: the pinned text is no longer byte-identical";
 }
 
 void serve_echo(CorrespondentHost& ch, std::uint16_t port) {
@@ -122,6 +130,58 @@ RunResult run_mobility_scenario() {
             hc.stats().handoff_count()};
 }
 
+/// Same-instant ties on a bare Simulator. Times are whole milliseconds,
+/// so a 2 ms lane, a 3 ms lane, heap delays of 2, 3 and 6 ms and two
+/// at-now paths (a heap schedule and a delay-0 lane) keep landing keys on
+/// one instant. Each event logs token@time; the pin hashes the log, and
+/// the payload counts dispatches that shared the previous one's instant.
+RunResult run_tie_scenario() {
+    sim::Simulator s;
+    const sim::Lane short_lane = s.lane(sim::milliseconds(2));
+    const sim::Lane long_lane = s.lane(sim::milliseconds(3));
+    const sim::Lane now_lane = s.lane(0);
+    std::string log;
+    std::uint64_t ties = 0;
+    sim::TimePoint last = -1;
+    int next = 0;
+    std::function<void(int)> fire;
+    const auto action = [&](int token) { return [&fire, token] { fire(token); }; };
+    fire = [&](int token) {
+        if (s.now() == last) ++ties;
+        last = s.now();
+        log += std::to_string(token) + '@' + std::to_string(s.now()) + ';';
+        if (next >= 3000) return;
+        switch (token % 6) {
+            case 0:  // one key on each lane; their instants keep meeting
+                s.schedule_on(short_lane, action(next++));
+                s.schedule_on(long_lane, action(next++));
+                break;
+            case 1:  // at now, on the heap
+                s.schedule_in(0, action(next++));
+                break;
+            case 2:  // at now, on the delay-0 lane
+                s.schedule_on(now_lane, action(next++));
+                break;
+            case 3:
+                s.schedule_in(sim::milliseconds(6), action(next++));
+                break;
+            case 4:  // lane key first, then a heap key at the same instant
+                s.schedule_on(long_lane, action(next++));
+                s.schedule_in(sim::milliseconds(3), action(next++));
+                break;
+            default:  // heap key first, then a lane key at the same instant
+                s.schedule_in(sim::milliseconds(2), action(next++));
+                s.schedule_on(short_lane, action(next++));
+                break;
+        }
+    };
+    for (int i = 0; i < 6; ++i) {
+        s.schedule_at(sim::milliseconds(i % 2), action(next++));
+    }
+    s.run();
+    return {s.events_fired(), log, ties};
+}
+
 }  // namespace
 
 TEST(DispatchOrderPin, PingTrain) {
@@ -134,4 +194,8 @@ TEST(DispatchOrderPin, TcpEcho) {
 
 TEST(DispatchOrderPin, RandomWaypointJourney) {
     expect_pinned(run_mobility_scenario(), 4, 375, 0x11f00fd1706ddfe6ull);
+}
+
+TEST(DispatchOrderPin, SameInstantTies) {
+    expect_pinned(run_tie_scenario(), 2968, 3000, 0xbab3ae9706735769ull);
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/link.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
@@ -449,15 +451,24 @@ TEST(Simulator, HandlersSchedulingMoreStayOrdered) {
 TEST(Simulator, MatchesSortedReferenceUnderScheduleCancelRunUntil) {
     // Property: against a std::multimap reference (equal keys keep
     // insertion order, which is the schedule-sequence tie break), seeded
-    // interleavings of schedule, cancel (live and stale handles) and
-    // run_until fire the same tokens in the same order. Every fourth
-    // token schedules a child when it fires, on both sides.
+    // interleavings of schedule (on the heap and on three fixed-delay
+    // lanes, one of delay 0), cancel (live and stale handles, heap and
+    // lane events alike) and run_until fire the same tokens in the same
+    // order. Every fourth token schedules a child when it fires, on both
+    // sides; every other child goes onto a lane.
+    const Duration lane_delays[] = {0, microseconds(300), microseconds(1500)};
     const auto spawns = [](int token) { return token % 4 == 0; };
-    const auto child_delay = [](int token) { return (token % 3) * microseconds(100); };
+    const auto child_lane = [](int token) { return token % 8 == 0 ? (token / 8) % 3 : -1; };
+    const auto child_delay = [&](int token) {
+        const int lane = child_lane(token);
+        return lane >= 0 ? lane_delays[lane] : (token % 3) * microseconds(100);
+    };
 
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         Simulator s;
         std::mt19937_64 rng(seed);
+        const Lane lanes[] = {s.lane(lane_delays[0]), s.lane(lane_delays[1]),
+                              s.lane(lane_delays[2])};
 
         // Simulator side.
         std::vector<EventId> ids;  // by token
@@ -468,8 +479,11 @@ TEST(Simulator, MatchesSortedReferenceUnderScheduleCancelRunUntil) {
                 if (spawns(token)) {
                     const std::size_t child = ids.size();
                     ids.push_back(0);
-                    ids[child] = s.schedule_in(child_delay(token),
-                                               action(static_cast<int>(child)));
+                    const int lane = child_lane(token);
+                    ids[child] =
+                        lane >= 0 ? s.schedule_on(lanes[lane], action(static_cast<int>(child)))
+                                  : s.schedule_in(child_delay(token),
+                                                  action(static_cast<int>(child)));
                 }
             };
         };
@@ -486,13 +500,17 @@ TEST(Simulator, MatchesSortedReferenceUnderScheduleCancelRunUntil) {
 
         for (int step = 0; step < 400; ++step) {
             const std::uint64_t op = rng() % 10;
-            if (op < 5) {
+            if (op < 3) {
                 const TimePoint when =
                     s.now() + (rng() % 20 == 0 ? seconds(3600)
                                                : static_cast<Duration>(rng() % 50) *
                                                      microseconds(100));
                 ids.push_back(s.schedule_at(when, action(static_cast<int>(ids.size()))));
                 ref_add(when);
+            } else if (op < 5) {
+                const std::size_t lane = rng() % 3;
+                ids.push_back(s.schedule_on(lanes[lane], action(static_cast<int>(ids.size()))));
+                ref_add(s.now() + lane_delays[lane]);
             } else if (op < 8 && !ids.empty()) {
                 const std::size_t token = rng() % ids.size();
                 s.cancel(ids[token]);
@@ -521,4 +539,89 @@ TEST(Simulator, MatchesSortedReferenceUnderScheduleCancelRunUntil) {
                 << "seed " << seed << " step " << step;
         }
     }
+}
+
+// ---- fixed-delay lanes ------------------------------------------------------
+
+TEST(Simulator, LaneKeepsFifoOrderAcrossRingGrowth) {
+    // Rounds of ever more events on one lane, half a delay apart: the
+    // ring's head wraps while it holds one to two rounds, and it grows
+    // past several powers of two. Tokens are scheduled in order, so they
+    // must fire in order.
+    Simulator s;
+    const Lane lane = s.lane(milliseconds(1));
+    std::vector<int> fired;
+    int next = 0;
+    for (int round = 0; round < 60; ++round) {
+        for (int i = 0; i <= round; ++i) {
+            const int token = next++;
+            s.schedule_on(lane, [&fired, token] { fired.push_back(token); });
+        }
+        s.run_until(s.now() + microseconds(500));
+    }
+    s.run();
+    ASSERT_EQ(fired.size(), static_cast<std::size_t>(next));
+    for (int i = 0; i < next; ++i) ASSERT_EQ(fired[static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(Simulator, LaneIsDeduplicatedPerDelay) {
+    Simulator s;
+    const Lane a = s.lane(milliseconds(2));
+    const Lane zero = s.lane(0);
+    EXPECT_EQ(s.lane(milliseconds(2)), a);
+    EXPECT_EQ(s.lane(0), zero);
+    EXPECT_NE(s.lane(milliseconds(3)), a);
+}
+
+TEST(Simulator, NegativeLaneDelayThrows) {
+    Simulator s;
+    EXPECT_THROW(s.lane(-1), std::invalid_argument);
+    EXPECT_THROW(s.schedule_on(Lane{}, [] {}), std::invalid_argument)
+        << "a default Lane names no lane";
+}
+
+TEST(Simulator, PendingAndBacklogCountLaneKeys) {
+    Simulator s;
+    const Lane lane = s.lane(milliseconds(1));
+    int fired = 0;
+    s.schedule_on(lane, [&] { ++fired; });  // the lane's head, in the heap
+    const EventId queued = s.schedule_on(lane, [&] { ++fired; });  // in the ring
+    s.schedule_on(lane, [&] { ++fired; });
+    s.schedule_in(milliseconds(2), [&] { ++fired; });
+    EXPECT_EQ(s.pending_events(), 4u);
+    s.cancel(queued);
+    EXPECT_EQ(s.cancelled_backlog(), 1u);
+    EXPECT_EQ(s.pending_events(), 4u) << "the dead key stays queued until it surfaces";
+    s.run();
+    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(s.pending_events(), 0u);
+    EXPECT_EQ(s.cancelled_backlog(), 0u);
+}
+
+TEST(Simulator, CancelledLaneHeadIsSkippedAndItsSlotFreed) {
+    Simulator s;
+    const Lane lane = s.lane(milliseconds(1));
+    std::vector<int> order;
+    const EventId head = s.schedule_on(lane, [&] { order.push_back(0); });
+    const EventId next = s.schedule_on(lane, [&] { order.push_back(1); });
+    s.cancel(head);
+    EXPECT_EQ(s.cancelled_backlog(), 1u);
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1}));
+    EXPECT_EQ(s.cancelled_backlog(), 0u);
+    EXPECT_EQ(s.pending_events(), 0u);
+
+    // Both slots are free again: the next two events reuse them, and the
+    // cancelled head's stale handle does not touch its slot's new tenant.
+    const auto slot_of = [](EventId id) { return id & 0xffff'ffffu; };
+    const EventId a = s.schedule_on(lane, [&] { order.push_back(2); });
+    const EventId b = s.schedule_in(milliseconds(1), [&] { order.push_back(3); });
+    EXPECT_EQ(std::min(slot_of(a), slot_of(b)), std::min(slot_of(head), slot_of(next)));
+    EXPECT_EQ(std::max(slot_of(a), slot_of(b)), std::max(slot_of(head), slot_of(next)));
+    s.cancel(head);
+    s.cancel(next);
+    EXPECT_EQ(s.cancelled_backlog(), 0u);
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
