@@ -130,6 +130,37 @@ RunResult run_mobility_scenario() {
             hc.stats().handoff_count()};
 }
 
+/// The registration retry path end to end. An initial attach against a
+/// crashed home agent gives up after registration_max_retries. After a
+/// restart the host attaches, the agent crashes again, and the first
+/// refresh burns its retry budget, opens the circuit and probes; the
+/// agent's second restart lets a probe through and the circuit closes.
+RunResult run_circuit_scenario() {
+    World world{WorldConfig{}};
+    MobileHostConfig mcfg = world.mobile_config();
+    mcfg.registration_lifetime = 5;  // refresh at 4 s
+    mcfg.registration_retry = sim::milliseconds(200);
+    mcfg.registration_backoff_cap = sim::seconds(1);
+    mcfg.registration_max_retries = 4;
+    mcfg.registration_retry_budget = 2;
+    mcfg.registration_circuit_probe = sim::seconds(2);
+    MobileHost& mh = world.create_mobile_host(std::move(mcfg));
+
+    world.home_agent().crash();
+    EXPECT_FALSE(world.attach_mobile_foreign()) << "the initial attach must give up";
+    world.home_agent().restart();
+    EXPECT_TRUE(world.attach_mobile_foreign());
+    world.home_agent().crash();
+    world.run_for(sim::seconds(20));
+    EXPECT_TRUE(mh.registration_circuit_open());
+    world.home_agent().restart();
+    world.run_for(sim::seconds(10));
+    EXPECT_FALSE(mh.registration_circuit_open());
+    return {world.sim.events_fired(),
+            world.metrics.snapshot_json("equiv", "circuit", world.sim.now()),
+            mh.stats().registration_circuit_probes};
+}
+
 /// Same-instant ties on a bare Simulator. Times are whole milliseconds,
 /// so a 2 ms lane, a 3 ms lane, heap delays of 2, 3 and 6 ms and two
 /// at-now paths (a heap schedule and a delay-0 lane) keep landing keys on
@@ -194,6 +225,10 @@ TEST(DispatchOrderPin, TcpEcho) {
 
 TEST(DispatchOrderPin, RandomWaypointJourney) {
     expect_pinned(run_mobility_scenario(), 4, 375, 0x11f00fd1706ddfe6ull);
+}
+
+TEST(DispatchOrderPin, RegistrationCircuit) {
+    expect_pinned(run_circuit_scenario(), 8, 193, 0x4593d0b0abd06911ull);
 }
 
 TEST(DispatchOrderPin, SameInstantTies) {
