@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/overload.h"
 #include "net/protocol.h"
 
 namespace mip::core {
@@ -12,7 +13,13 @@ MobileHost::MobileHost(sim::Simulator& simulator, std::string name, MobileHostCo
       encap_(tunnel::make_encapsulator(config_.encap_scheme)),
       method_cache_(config_.strategy ? std::move(config_.strategy)
                                      : std::make_unique<AggressiveFirstStrategy>(),
-                    config_.cache) {
+                    config_.cache),
+      registration_(RetryPolicy{.base = config_.registration_retry,
+                                .cap = config_.registration_backoff_cap,
+                                .jitter = true,
+                                .retry_budget = config_.registration_retry_budget,
+                                .probe_interval = config_.registration_circuit_probe,
+                                .max_attempts = config_.registration_max_retries}) {
     // The two encapsulating virtual interfaces (paper §7): one tunnels via
     // the home agent (Out-IE), the other straight to the correspondent
     // (Out-DE).
@@ -40,16 +47,6 @@ MobileHost::MobileHost(sim::Simulator& simulator, std::string name, MobileHostCo
 
     udp_ = std::make_unique<transport::UdpService>(stack());
     tcp_ = std::make_unique<transport::TcpService>(stack(), config_.tcp);
-
-    // Seeded decorrelated-jitter stream for registration retries: derive
-    // the default seed from the home address so a fleet built from one
-    // config template still de-correlates host by host (ISSUE 9).
-    const std::uint64_t jitter_seed =
-        config_.registration_jitter_seed != 0
-            ? config_.registration_jitter_seed
-            : mix64(0x6d68726567726574ull ^ config_.home_address.value());
-    jitter_.emplace(jitter_seed, config_.registration_retry,
-                    config_.registration_backoff_cap);
 
     // §7.1.2 delivery-failure signals. Outbound retransmissions reach the
     // policy through the per-packet FlowKey::retransmission flag (see
@@ -108,9 +105,9 @@ MobileHost::MobileHost(sim::Simulator& simulator, std::string name, MobileHostCo
         fa_waiting_advert_ = false;
         reg_dst_ = fa_addr_;
         reg_socket_->bind_address(config_.home_address);
-        send_registration(std::min<std::uint16_t>(config_.registration_lifetime,
-                                                  msg.agent_lifetime()),
-                          0, std::move(fa_done_));
+        start_registration(std::min<std::uint16_t>(config_.registration_lifetime,
+                                                   msg.agent_lifetime()),
+                           std::move(fa_done_));
         fa_done_ = {};
     });
 
@@ -146,56 +143,15 @@ void MobileHost::on_decap_packet(const net::Packet& outer, const tunnel::Encapsu
 // ---- mobility ---------------------------------------------------------------
 
 void MobileHost::cancel_registration_timers() {
-    if (registration_timer_armed_) {
-        simulator().cancel(registration_timer_);
-        registration_timer_armed_ = false;
-    }
-    if (rereg_timer_armed_) {
-        simulator().cancel(rereg_timer_);
-        rereg_timer_armed_ = false;
-    }
-    if (expiry_timer_armed_) {
-        simulator().cancel(expiry_timer_);
-        expiry_timer_armed_ = false;
-    }
-    registration_pending_ = false;
-    circuit_open_ = false;
-    jitter_->reset();
+    // Cancelling a fired or never-armed timer is a no-op.
+    simulator().cancel(registration_timer_);
+    simulator().cancel(rereg_timer_);
+    simulator().cancel(expiry_timer_);
+    registration_.reset();
 }
 
-sim::Duration MobileHost::retry_delay(unsigned attempt) {
-    if (config_.registration_jitter) {
-        return jitter_->next();
-    }
-    // Legacy synchronized doubling (the bug the jitter fixes), kept for
-    // the ablation's protection-off leg and byte-compatibility studies.
-    sim::Duration delay = config_.registration_retry;
-    for (unsigned i = 0; i < attempt && delay < config_.registration_backoff_cap; ++i) {
-        delay *= 2;
-    }
-    return std::min(delay, config_.registration_backoff_cap);
-}
-
-sim::Duration MobileHost::circuit_probe_delay() {
-    // Base interval +-25%, drawn from a tagged stream off the same seed
-    // as the jitter ramp (monotone counter: deterministic, never reused).
-    const sim::Duration base = config_.registration_circuit_probe;
-    const std::uint64_t seed =
-        config_.registration_jitter_seed != 0
-            ? config_.registration_jitter_seed
-            : mix64(0x6d68726567726574ull ^ config_.home_address.value());
-    const std::uint64_t draw =
-        mix64(seed ^ (0x70726f6265ull + circuit_probe_draws_++));
-    const sim::Duration span = std::max<sim::Duration>(base / 2, 1);
-    return base * 3 / 4 + static_cast<sim::Duration>(draw % static_cast<std::uint64_t>(span));
-}
-
-void MobileHost::attach_home(sim::Link& link, std::optional<net::Ipv4Address> gateway) {
+stack::Interface& MobileHost::replug(sim::Link& link) {
     cancel_registration_timers();
-
-    const bool was_registered = registered_;
-    const net::Ipv4Address old_care_of = care_of_;
-
     if (physical_interface_ == stack::IpStack::kNoInterface) {
         sim::Nic& n = add_nic();
         physical_interface_ = stack().add_interface(n);
@@ -206,6 +162,13 @@ void MobileHost::attach_home(sim::Link& link, std::optional<net::Ipv4Address> ga
         ifc.nic()->disconnect();
         ifc.nic()->connect(link);
     }
+    return ifc;
+}
+
+void MobileHost::attach_home(sim::Link& link, std::optional<net::Ipv4Address> gateway) {
+    const bool was_registered = registered_;
+    const net::Ipv4Address old_care_of = care_of_;
+    stack::Interface& ifc = replug(link);
     stack().configure(physical_interface_, config_.home_address, config_.home_subnet);
     if (gateway) {
         stack().add_default_route(*gateway, physical_interface_);
@@ -227,17 +190,8 @@ void MobileHost::attach_home(sim::Link& link, std::optional<net::Ipv4Address> ga
     }
     if (was_registered) {
         // Deregister: lifetime 0, from the home address (we're home now).
-        RegistrationRequest req;
-        req.lifetime = 0;
-        req.home_address = config_.home_address;
-        req.home_agent = config_.home_agent;
-        req.care_of_address = old_care_of;
-        req.id = next_registration_id_++;
-        net::BufferWriter w;
-        req.serialize(w, config_.registration_key);
         reg_socket_->bind_address(config_.home_address);
-        ++stats_.registrations_sent;
-        reg_socket_->send_to(config_.home_agent, net::ports::kMobileIpRegistration, w.take());
+        send_request(registration_.untracked_xid(), 0, old_care_of, config_.home_agent);
     }
     tcp_->notify_route_change();
 }
@@ -245,18 +199,7 @@ void MobileHost::attach_home(sim::Link& link, std::optional<net::Ipv4Address> ga
 void MobileHost::attach_foreign(sim::Link& link, net::Ipv4Address care_of, net::Prefix subnet,
                                 std::optional<net::Ipv4Address> gateway,
                                 RegistrationCallback done) {
-    cancel_registration_timers();
-
-    if (physical_interface_ == stack::IpStack::kNoInterface) {
-        sim::Nic& n = add_nic();
-        physical_interface_ = stack().add_interface(n);
-    }
-    stack::Interface& ifc = stack().iface(physical_interface_);
-    stack().deconfigure(physical_interface_);
-    if (ifc.nic() != nullptr) {
-        ifc.nic()->disconnect();
-        ifc.nic()->connect(link);
-    }
+    replug(link);
     stack().configure(physical_interface_, care_of, subnet);
     if (gateway) {
         stack().add_default_route(*gateway, physical_interface_);
@@ -278,23 +221,12 @@ void MobileHost::attach_foreign(sim::Link& link, net::Ipv4Address care_of, net::
     // (paper §6.4).
     reg_dst_ = config_.home_agent;
     reg_socket_->bind_address(care_of_);
-    send_registration(config_.registration_lifetime, 0, std::move(done));
+    start_registration(config_.registration_lifetime, std::move(done));
     tcp_->notify_route_change();
 }
 
 void MobileHost::attach_via_foreign_agent(sim::Link& link, RegistrationCallback done) {
-    cancel_registration_timers();
-
-    if (physical_interface_ == stack::IpStack::kNoInterface) {
-        sim::Nic& n = add_nic();
-        physical_interface_ = stack().add_interface(n);
-    }
-    stack::Interface& ifc = stack().iface(physical_interface_);
-    stack().deconfigure(physical_interface_);
-    if (ifc.nic() != nullptr) {
-        ifc.nic()->disconnect();
-        ifc.nic()->connect(link);
-    }
+    stack::Interface& ifc = replug(link);
     // No address of our own: we only answer ARP for the home address so
     // the agent (and Row C correspondents) can reach us on this segment.
     if (ifc.arp() != nullptr) {
@@ -339,72 +271,61 @@ void MobileHost::detach_current() {
 
 // ---- registration client -----------------------------------------------------
 
-void MobileHost::send_registration(std::uint16_t lifetime, unsigned attempt,
-                                   RegistrationCallback done) {
-    // An initial attach (one with a callback waiting on the outcome) gives
-    // up after max_retries. Background refreshes keep trying forever with
-    // capped exponential backoff — the home agent being down is exactly
-    // when giving up would orphan the binding permanently.
-    if (done && attempt >= config_.registration_max_retries) {
-        registration_pending_ = false;
-        done(false);
-        return;
-    }
-    registration_pending_ = true;
-    if (attempt == 0) jitter_->reset();  // fresh exchange: restart the ramp
-    if (attempt > 0) ++stats_.registration_backoffs;
-    if (circuit_open_) ++stats_.registration_circuit_probes;
+void MobileHost::start_registration(std::uint16_t lifetime, RegistrationCallback done) {
+    // An initial attach (a callback waits on the outcome) gives up after
+    // max_retries. A background refresh keeps trying — giving up would
+    // orphan the binding for good — and parks once its budget is spent.
+    registration_.start(/*bounded=*/static_cast<bool>(done));
+    send_registration(lifetime, std::move(done));
+}
 
+void MobileHost::send_request(std::uint64_t xid, std::uint16_t lifetime,
+                              net::Ipv4Address care_of, net::Ipv4Address dst) {
     RegistrationRequest req;
     req.lifetime = lifetime;
     req.home_address = config_.home_address;
     req.home_agent = config_.home_agent;
-    req.care_of_address = care_of_;
-    req.id = next_registration_id_++;
-    expected_reply_id_ = req.id;
+    req.care_of_address = care_of;
+    req.id = xid;
+    net::BufferWriter w;
+    req.serialize(w, config_.registration_key);
+    ++stats_.registrations_sent;
+    reg_socket_->send_to(dst, net::ports::kMobileIpRegistration, w.take());
+}
 
+void MobileHost::send_registration(std::uint16_t lifetime, RegistrationCallback done) {
+    const std::uint64_t xid = registration_.send();
+    if (xid == 0) {
+        done(false);  // a bounded exchange out of attempts
+        return;
+    }
+    if (registration_.attempt() > 0) ++stats_.registration_backoffs;
+    if (registration_.circuit_open()) ++stats_.registration_circuit_probes;
     reg_socket_->set_receiver([this, done](std::span<const std::uint8_t> data,
                                            const transport::RxMeta&) {
         RegistrationCallback cb = done;  // copy: the lambda may be replaced below
         on_registration_reply(data, cb);
     });
+    send_request(xid, lifetime, care_of_,
+                 reg_dst_.is_unspecified() ? config_.home_agent : reg_dst_);
 
-    net::BufferWriter w;
-    req.serialize(w, config_.registration_key);
-    ++stats_.registrations_sent;
-    const net::Ipv4Address dst = reg_dst_.is_unspecified() ? config_.home_agent : reg_dst_;
-    reg_socket_->send_to(dst, net::ports::kMobileIpRegistration, w.take());
-
-    // Cap the attempt counter once the backoff has saturated, so an
-    // indefinitely retrying refresh can't overflow it.
-    const unsigned next_attempt = std::min(attempt + 1, 16u);
-
-    // Backoff with seeded decorrelated jitter (or the legacy doubling).
-    // A background refresh that has burned its retry budget opens the
-    // circuit instead: park, and probe at a slow jittered interval — the
-    // recovering agent meets a trickle, not the whole orphaned fleet.
-    sim::Duration delay;
-    if (!done && config_.registration_retry_budget > 0 &&
-        next_attempt > config_.registration_retry_budget) {
-        if (!circuit_open_) {
-            circuit_open_ = true;
-            ++stats_.registration_circuit_opens;
-        }
-        delay = circuit_probe_delay();
-    } else {
-        delay = retry_delay(attempt);
-    }
-
+    const Retry retry = registration_.retry([this](Draw kind) {
+        // Two monotone streams off a seed derived from the home address, so
+        // a fleet built from one config de-correlates host by host.
+        const std::uint64_t seed =
+            mix64(0x6d68726567726574ull ^ config_.home_address.value());
+        return kind == Draw::Probe ? mix64(seed ^ (0x70726f6265ull + probe_draws_++))
+                                   : DecorrelatedBackoff::draw(seed, ramp_draws_++);
+    });
+    if (retry.opened) ++stats_.registration_circuit_opens;
     registration_timer_ = simulator().schedule_in(
-        delay,
-        [this, lifetime, next_attempt, done]() mutable {
-            registration_timer_armed_ = false;
-            if (registration_pending_ && !at_home_) {
-                send_registration(lifetime, next_attempt, std::move(done));
+        retry.delay,
+        [this, lifetime, done, xid]() mutable {
+            if (registration_.unanswered(xid) && !at_home_) {
+                send_registration(lifetime, std::move(done));
             }
         },
         "mip-registration-retry");
-    registration_timer_armed_ = true;
 }
 
 void MobileHost::on_registration_reply(std::span<const std::uint8_t> data,
@@ -419,22 +340,17 @@ void MobileHost::on_registration_reply(std::span<const std::uint8_t> data,
     if (!RegistrationRequest::authenticate(data, config_.registration_key)) {
         return;  // forged or mis-keyed reply: ignore, keep retrying
     }
-    if (reply.id != expected_reply_id_ || reply.home_address != config_.home_address) {
+    if (reply.home_address != config_.home_address ||
+        !registration_.reply(reply.id, reply.accepted() && reply.lifetime > 0)) {
         return;
     }
-    registration_pending_ = false;
-    if (registration_timer_armed_) {
-        simulator().cancel(registration_timer_);
-        registration_timer_armed_ = false;
-    }
+    simulator().cancel(registration_timer_);
     if (!reply.accepted()) {
         if (done) done(false);
         return;
     }
     if (reply.lifetime > 0) {
         registered_ = true;
-        circuit_open_ = false;  // the agent answered: close the circuit
-        jitter_->reset();
         arm_binding_expiry(reply.lifetime);
         schedule_reregistration(reply.lifetime);
         if (done) done(true);
@@ -443,39 +359,31 @@ void MobileHost::on_registration_reply(std::span<const std::uint8_t> data,
 
 void MobileHost::arm_binding_expiry(std::uint16_t granted_lifetime) {
     binding_expires_ = simulator().now() + sim::seconds(granted_lifetime);
-    if (expiry_timer_armed_) {
-        simulator().cancel(expiry_timer_);
-    }
+    simulator().cancel(expiry_timer_);
     expiry_timer_ = simulator().schedule_at(
         binding_expires_,
         [this] {
-            expiry_timer_armed_ = false;
             if (!at_home_ && registered_ && simulator().now() >= binding_expires_) {
                 registered_ = false;
                 ++stats_.binding_expiries;
             }
         },
         "mip-binding-expiry");
-    expiry_timer_armed_ = true;
 }
 
 void MobileHost::schedule_reregistration(std::uint16_t granted_lifetime) {
-    if (rereg_timer_armed_) {
-        simulator().cancel(rereg_timer_);
-    }
-    // Refresh at 80% of the granted lifetime.
-    const sim::Duration refresh = sim::seconds(granted_lifetime) * 8 / 10;
+    simulator().cancel(rereg_timer_);
+    // Refresh at the client's fixed renewal point (4/5 of the granted
+    // lifetime); the host's refreshes are not jittered.
     rereg_timer_ = simulator().schedule_in(
-        refresh,
+        RegistrationClient::renewal_point(sim::seconds(granted_lifetime)),
         [this] {
-            rereg_timer_armed_ = false;
             if (!at_home_ && physical_interface_ != stack::IpStack::kNoInterface &&
                 !care_of_.is_unspecified()) {
-                send_registration(config_.registration_lifetime, 0, {});
+                start_registration(config_.registration_lifetime, {});
             }
         },
         "mip-reregistration");
-    rereg_timer_armed_ = true;
 }
 
 // ---- discovery publication ----------------------------------------------------

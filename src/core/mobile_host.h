@@ -12,8 +12,8 @@
 #include <memory>
 #include <set>
 
-#include "core/overload.h"
 #include "core/registration.h"
+#include "core/registration_client.h"
 #include "core/selection.h"
 #include "dns/resolver.h"
 #include "stack/host.h"
@@ -50,24 +50,14 @@ struct MobileHostConfig {
     std::uint64_t registration_key = 0;
 
     std::uint16_t registration_lifetime = 300;  ///< seconds requested
+    /// Retries back off with decorrelated jitter, seeded per home address
+    /// so hosts orphaned by one crash do not retry in lockstep.
     sim::Duration registration_retry = sim::milliseconds(500);
     unsigned registration_max_retries = 10;
     /// Retries back off up to this cap — so a mobile host orphaned by a
     /// home-agent crash keeps probing at a polite rate until the agent
     /// returns.
     sim::Duration registration_backoff_cap = sim::seconds(8);
-
-    /// Deterministic seeded decorrelated jitter on the retry backoff
-    /// (ISSUE 9). The synchronized-retry bug: plain doubling makes every
-    /// host orphaned by the same crash retry at identical offsets, so the
-    /// whole population hammers the recovering agent in lockstep. With
-    /// jitter each delay is drawn uniformly from [retry, 3 x previous)
-    /// (capped), seeded per host — byte-identical per seed, at any sweep
-    /// --jobs. false = the legacy synchronized doubling.
-    bool registration_jitter = true;
-    /// Jitter stream seed; 0 derives one from the home address, so a
-    /// fleet sharing a config still de-correlates host by host.
-    std::uint64_t registration_jitter_seed = 0;
 
     /// Retry budget for background refreshes (ISSUE 9): after this many
     /// consecutive unanswered retries the host opens its registration
@@ -83,7 +73,7 @@ struct MobileHostConfig {
 
     /// Parameters for the host's TCP service (timeouts matter to how fast
     /// the §7.1.2 failure signals arrive).
-    transport::TcpConfig tcp;
+    transport::Config tcp;
 };
 
 class MobileHost final : public stack::Host, private stack::RouteResolver {
@@ -127,7 +117,7 @@ public:
     /// probing (CapabilityProber) is suppressed in this state — the
     /// control plane is the thing that is down, so adding probe traffic
     /// to it only feeds the storm.
-    bool registration_circuit_open() const noexcept { return circuit_open_; }
+    bool registration_circuit_open() const noexcept { return registration_.circuit_open(); }
     net::Ipv4Address home_address() const noexcept { return config_.home_address; }
     net::Ipv4Address care_of_address() const noexcept { return care_of_; }
 
@@ -182,7 +172,13 @@ private:
 
     void send_tunneled(net::Packet inner, net::Ipv4Address outer_dst);
     void on_decap_packet(const net::Packet& outer, const tunnel::Encapsulator& decap);
-    void send_registration(std::uint16_t lifetime, unsigned attempt, RegistrationCallback done);
+    /// Opens a fresh registration exchange and sends its first request.
+    void start_registration(std::uint16_t lifetime, RegistrationCallback done);
+    /// Sends the exchange's next request and arms its retry timer.
+    void send_registration(std::uint16_t lifetime, RegistrationCallback done);
+    /// Writes one registration request onto UDP 434.
+    void send_request(std::uint64_t xid, std::uint16_t lifetime, net::Ipv4Address care_of,
+                      net::Ipv4Address dst);
     void on_registration_reply(std::span<const std::uint8_t> data, RegistrationCallback& done);
     void schedule_reregistration(std::uint16_t granted_lifetime);
     /// Tracks the granted lifetime locally: when it lapses without a
@@ -193,12 +189,9 @@ private:
     /// Cancels the retry/refresh/expiry timers and abandons any pending
     /// registration (every attach/detach transition starts from here).
     void cancel_registration_timers();
-    /// Next retry delay for @p attempt: the seeded decorrelated-jitter
-    /// stream when registration_jitter is on, the legacy synchronized
-    /// doubling otherwise.
-    sim::Duration retry_delay(unsigned attempt);
-    /// Jittered park-and-probe interval while the circuit is open.
-    sim::Duration circuit_probe_delay();
+    /// Starts an attach: cancels the registration timers and plugs the
+    /// physical interface, unconfigured, into @p link.
+    stack::Interface& replug(sim::Link& link);
 
     MobileHostConfig config_;
     std::unique_ptr<tunnel::Encapsulator> encap_;
@@ -222,25 +215,13 @@ private:
     net::Ipv4Address reg_dst_;      ///< where registration requests go (HA or FA)
     RegistrationCallback fa_done_;  ///< pending callback while soliciting
     net::Ipv4Address care_of_;
-    std::uint64_t next_registration_id_ = 1;
-    std::uint64_t expected_reply_id_ = 0;
+    RegistrationClient registration_;
+    std::uint64_t ramp_draws_ = 0;   ///< retry-ramp draws taken, across exchanges
+    std::uint64_t probe_draws_ = 0;  ///< circuit-probe draws taken, across exchanges
     sim::EventId registration_timer_ = 0;
-    bool registration_timer_armed_ = false;
     sim::EventId rereg_timer_ = 0;
-    bool rereg_timer_armed_ = false;
-    /// A registration exchange (initial or refresh) is in flight and
-    /// unanswered — the retry loop keys off this, not off registered_,
-    /// because a refresh runs while registered_ is still true.
-    bool registration_pending_ = false;
-    /// Seeded decorrelated-jitter stream for retry backoff (ISSUE 9).
-    std::optional<DecorrelatedBackoff> jitter_;
-    /// Monotone draw counter for circuit-probe jitter (shares the seed
-    /// with jitter_ but is a distinct tagged stream).
-    std::uint64_t circuit_probe_draws_ = 0;
-    bool circuit_open_ = false;
     sim::TimePoint binding_expires_ = 0;
     sim::EventId expiry_timer_ = 0;
-    bool expiry_timer_armed_ = false;
     /// Dedup for flagged-retransmission failure signals (dst -> last time).
     std::map<net::Ipv4Address, sim::TimePoint> last_retransmission_signal_;
 

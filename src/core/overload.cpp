@@ -15,18 +15,19 @@ const char* to_string(RequestClass c) noexcept {
 
 // ---- DecorrelatedBackoff -----------------------------------------------------
 
+sim::Duration decorrelated_delay(sim::Duration base, sim::Duration cap, sim::Duration prev,
+                                 std::uint64_t draw) noexcept {
+    if (prev == 0) prev = base;
+    // Uniform in [base, 3 x prev). 3 x prev <= base only when prev == base
+    // and base is tiny; guard the empty range anyway.
+    const sim::Duration hi = std::max<sim::Duration>(3 * prev, base + 1);
+    const auto span = static_cast<std::uint64_t>(hi - base);
+    return std::min(base + static_cast<sim::Duration>(draw % span), cap);
+}
+
 sim::Duration DecorrelatedBackoff::next() {
-    const sim::Duration prev = prev_ == 0 ? base_ : prev_;
-    // Uniform in [base, 3 x prev): the decorrelated-jitter recurrence.
-    // 3 x prev <= base only when prev == base and base is tiny; guard the
-    // empty range anyway.
-    const sim::Duration hi = std::max<sim::Duration>(3 * prev, base_ + 1);
-    const std::uint64_t span = static_cast<std::uint64_t>(hi - base_);
-    const std::uint64_t draw = mix64(seed_ ^ (0x6f76657264726177ull + draws_++));
-    sim::Duration delay = base_ + static_cast<sim::Duration>(draw % span);
-    delay = std::min(delay, cap_);
-    prev_ = delay;
-    return delay;
+    prev_ = decorrelated_delay(base_, cap_, prev_, draw(seed_, draws_++));
+    return prev_;
 }
 
 // ---- TokenBucket -------------------------------------------------------------

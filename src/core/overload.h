@@ -52,11 +52,14 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
     return x ^ (x >> 31);
 }
 
-/// Deterministic seeded decorrelated jitter (the "decorrelated jitter"
-/// variant of exponential backoff): each delay is drawn uniformly from
-/// [base, 3 x previous), clamped to [base, cap]. The first draw after a
-/// reset uses previous = base. The draw counter is monotone across
-/// resets so a host's whole retry history is one reproducible stream.
+/// The decorrelated-jitter recurrence, shared with RegistrationClient: the
+/// delay after @p prev (0 = fresh ramp), uniform in [base, 3 x prev), capped.
+sim::Duration decorrelated_delay(sim::Duration base, sim::Duration cap, sim::Duration prev,
+                                 std::uint64_t draw) noexcept;
+
+/// Deterministic seeded decorrelated jitter over decorrelated_delay. The
+/// draw counter is monotone across resets so a host's whole retry history
+/// is one reproducible stream.
 class DecorrelatedBackoff {
 public:
     DecorrelatedBackoff(std::uint64_t seed, sim::Duration base, sim::Duration cap)
@@ -69,6 +72,10 @@ public:
     void reset() noexcept { prev_ = 0; }
 
     std::uint64_t draws() const noexcept { return draws_; }
+    /// Draw @p n of the stream seeded @p seed.
+    static std::uint64_t draw(std::uint64_t seed, std::uint64_t n) noexcept {
+        return mix64(seed ^ (0x6f76657264726177ull + n));
+    }
 
 private:
     std::uint64_t seed_;

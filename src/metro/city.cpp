@@ -36,7 +36,8 @@ CitySim::CitySim(CityConfig config)
     // the heap.
     sample_lane_ = sim_.lane(config_.sample_interval);
     decay_lane_ = sim_.lane(config_.storm_window);
-    renewal_lane_ = sim_.lane(config_.registration_lifetime / 5 * 4);
+    renewal_lane_ =
+        sim_.lane(core::RegistrationClient::renewal_point(config_.registration_lifetime));
 
     // Per-cell and per-agent metric handles are resolved once here; the
     // hot path bumps cached Counter references instead of re-hashing
@@ -81,7 +82,15 @@ CitySim::CitySim(CityConfig config)
             q->set_decision_log(&decisions_, node);
             queues_.push_back(std::move(q));
         }
-        clients_.resize(pop_.hosts().size());
+        const CityOverloadConfig& ov = config_.overload;
+        clients_.assign(pop_.hosts().size(),
+                        core::RegistrationClient(core::RetryPolicy{
+                            .base = ov.reply_timeout,
+                            .cap = ov.retry_cap,
+                            .jitter = ov.protection,
+                            .retry_budget = ov.protection ? ov.retry_budget : 0,
+                            .probe_interval = ov.circuit_probe,
+                            .max_attempts = 0}));
         ov_retries_ = &registry_.counter("city", "overload", "retries");
         ov_timeouts_ = &registry_.counter("city", "overload", "timeouts");
         ov_circuit_opens_ = &registry_.counter("city", "overload", "circuit_opens");
@@ -145,7 +154,7 @@ void CitySim::sample_host(MetroHost* host) {
 
 void CitySim::begin_registration(MetroHost* host, bool renewal) {
     if (config_.overload.enabled) {
-        client_start(host, renewal, /*attempt=*/0);
+        client_start(host, renewal, /*fresh=*/true);
         return;
     }
     ++host->epoch;  // any in-flight completion for an older epoch is now stale
@@ -183,24 +192,30 @@ void CitySim::finish_registration(MetroHost* host, std::uint32_t epoch,
                      "reg-renewal");
 }
 
-// ---- overload model (ISSUE 9) ---------------------------------------------
+// ---- overload model ----------------------------------------------------------
 //
 // With overload.enabled the analytic always-succeeds exchange above is
 // replaced by a full request/reply loop: the request takes the same
 // hop-proportional latency to reach the home agent, queues in that
 // agent's RegistrationQueue (where it can be shed), and the reply takes
-// the latency back. The client keeps a per-host reply timeout; losses —
-// shed requests, flap-wiped state — surface as timeouts and drive the
-// retry policy under ablation: seeded decorrelated jitter plus a retry
-// budget opening a park-and-probe circuit (protection on), or
-// synchronized exponential doubling forever (protection off).
+// the latency back. Each host runs a core::RegistrationClient under a
+// reply timeout; losses — shed requests, flap-wiped state — surface as
+// timeouts and drive the client's policy, jittered with a retry budget
+// (protection on) or synchronized doubling forever (protection off).
 
-void CitySim::client_start(MetroHost* host, bool renewal, std::uint32_t attempt) {
+std::uint64_t CitySim::client_draw(MetroHost* host, core::Draw kind) {
+    return mobility::mix_seed(config_.population.seed ^
+                              (kind == core::Draw::Renewal ? kRenewTag : kRetryTag) ^
+                              (static_cast<std::uint64_t>(host->index) << 20) ^
+                              host->reg_draws++);
+}
+
+void CitySim::client_start(MetroHost* host, bool renewal, bool fresh) {
     if (host->cell < 0) return;
-    ClientState& c = clients_[host->index];
-    if (attempt == 0) {
-        ++host->epoch;     // supersede any in-flight exchange
-        c.prev_delay = 0;  // fresh exchange: the jitter ramp restarts
+    core::RegistrationClient& c = clients_[host->index];
+    if (fresh) {
+        ++host->epoch;  // supersede any in-flight exchange
+        c.start(/*bounded=*/false);
     }
     const std::uint32_t epoch = host->epoch;
     const std::int32_t cell = host->cell;
@@ -211,9 +226,8 @@ void CitySim::client_start(MetroHost* host, bool renewal, std::uint32_t attempt)
                                   member_jitter(host->index, epoch);
     reg_hops_->observe(static_cast<double>(hops));
     reg_latency_->observe(static_cast<double>(latency));
-    c.pending = true;
-    const std::uint64_t xid = ++c.last_xid;
-    if (c.circuit_open) ov_circuit_probes_->add();
+    if (c.circuit_open()) ov_circuit_probes_->add();
+    const std::uint64_t xid = c.send();
     sim_.schedule_in(latency,
                      [this, host, epoch, cell, renewal, xid] {
                          server_arrival(host, epoch, cell, renewal, xid);
@@ -223,8 +237,8 @@ void CitySim::client_start(MetroHost* host, bool renewal, std::uint32_t attempt)
     // a request stuck deeper than reply_timeout is retried even though it
     // may still be served (the duplicate converges via the xid guard).
     sim_.schedule_in(2 * latency + config_.overload.reply_timeout,
-                     [this, host, epoch, renewal, attempt, xid] {
-                         client_timeout(host, epoch, renewal, attempt, xid);
+                     [this, host, epoch, renewal, xid] {
+                         client_timeout(host, epoch, renewal, xid);
                      },
                      "reg-timeout");
 }
@@ -265,29 +279,11 @@ void CitySim::serve_registration(MetroHost* host, std::uint32_t epoch,
 }
 
 void CitySim::client_reply(MetroHost* host, std::uint32_t epoch, std::uint64_t xid) {
-    ClientState& c = clients_[host->index];
-    if (host->epoch != epoch || !c.pending || c.last_xid != xid) return;
-    c.pending = false;
-    c.prev_delay = 0;
-    c.circuit_open = false;  // a served exchange closes the circuit
+    core::RegistrationClient& c = clients_[host->index];
+    if (host->epoch != epoch || !c.reply(xid, /*granted=*/true)) return;
     host->binding_expires = sim_.now() + config_.registration_lifetime;
-    // Renewal point. The protected leg draws it from [0.6, 0.9) of the
-    // lifetime: cohorts that registered together (initial attach, the
-    // post-flap storm) would otherwise renew together forever, and a
-    // synchronized renewal wave overflows even a healthy agent's bounded
-    // queue. The OFF leg renews at the fixed 4/5 point, keeping the
-    // cohorts aligned — part of what the unprotected storm collapses under.
-    sim::Duration renew_in = config_.registration_lifetime / 5 * 4;
-    if (config_.overload.protection) {
-        const std::uint64_t draw = mobility::mix_seed(
-            config_.population.seed ^ kRenewTag ^
-            (static_cast<std::uint64_t>(host->index) << 20) ^ c.draws++);
-        const auto span = static_cast<std::uint64_t>(
-            std::max<sim::Duration>(config_.registration_lifetime * 3 / 10, 1));
-        renew_in = config_.registration_lifetime * 3 / 5 +
-                   static_cast<sim::Duration>(draw % span);
-    }
-    sim_.schedule_in(renew_in,
+    const auto draw = [&](core::Draw kind) { return client_draw(host, kind); };
+    sim_.schedule_in(c.renewal(config_.registration_lifetime, draw),
                      [this, host, epoch] {
                          if (host->epoch == epoch) begin_registration(host, /*renewal=*/true);
                      },
@@ -295,60 +291,25 @@ void CitySim::client_reply(MetroHost* host, std::uint32_t epoch, std::uint64_t x
 }
 
 void CitySim::client_timeout(MetroHost* host, std::uint32_t epoch, bool renewal,
-                             std::uint32_t attempt, std::uint64_t xid) {
-    ClientState& c = clients_[host->index];
-    if (host->epoch != epoch || !c.pending || c.last_xid != xid) {
-        return;  // answered or superseded meanwhile
-    }
+                             std::uint64_t xid) {
+    core::RegistrationClient& c = clients_[host->index];
+    if (host->epoch != epoch || !c.unanswered(xid)) return;  // answered or superseded
     ov_timeouts_->add();
-    const CityOverloadConfig& ov = config_.overload;
-    const std::uint32_t next = std::min<std::uint32_t>(attempt + 1, 16);
-    const bool park = ov.protection && ov.retry_budget > 0 && next > ov.retry_budget;
-    sim::Duration delay;
-    if (park) {
-        if (!c.circuit_open) {
-            c.circuit_open = true;
-            ov_circuit_opens_->add();
-            decisions_.record({sim_.now(), "host-" + std::to_string(host->index),
-                               "ha-" + std::to_string(host->home_agent), "overload",
-                               "retry-budget",
-                               "attempts=" + std::to_string(next) + "/" +
-                                   std::to_string(ov.retry_budget),
-                               false, "retrying", "parked", "",
-                               "retry budget exhausted; parking with slow probes"});
-        }
-        // Park-and-probe, jittered +-25% so parked hosts stay decorrelated.
-        const std::uint64_t draw = mobility::mix_seed(
-            config_.population.seed ^ kRetryTag ^
-            (static_cast<std::uint64_t>(host->index) << 20) ^ c.draws++);
-        const auto span =
-            static_cast<std::uint64_t>(std::max<sim::Duration>(ov.circuit_probe / 2, 1));
-        delay = ov.circuit_probe * 3 / 4 + static_cast<sim::Duration>(draw % span);
-    } else if (ov.protection) {
-        ov_retries_->add();
-        // Seeded decorrelated jitter: uniform(base, 3 x previous), capped
-        // (core::DecorrelatedBackoff's policy, inlined over ClientState).
-        const sim::Duration base = ov.reply_timeout;
-        const sim::Duration prev = c.prev_delay == 0 ? base : c.prev_delay;
-        const sim::Duration hi = std::max<sim::Duration>(3 * prev, base + 1);
-        const std::uint64_t draw = mobility::mix_seed(
-            config_.population.seed ^ kRetryTag ^
-            (static_cast<std::uint64_t>(host->index) << 20) ^ c.draws++);
-        delay = std::min<sim::Duration>(
-            base + static_cast<sim::Duration>(draw % static_cast<std::uint64_t>(hi - base)),
-            ov.retry_cap);
-        c.prev_delay = delay;
-    } else {
-        ov_retries_->add();
-        // Ablation OFF leg: synchronized exponential doubling — every host
-        // that timed out together retries together, feeding the storm.
-        delay = ov.reply_timeout;
-        for (std::uint32_t i = 0; i < attempt && delay < ov.retry_cap; ++i) delay *= 2;
-        delay = std::min(delay, ov.retry_cap);
+    const core::Retry retry = c.retry([&](core::Draw k) { return client_draw(host, k); });
+    if (retry.opened) {
+        ov_circuit_opens_->add();
+        decisions_.record({sim_.now(), "host-" + std::to_string(host->index),
+                           "ha-" + std::to_string(host->home_agent), "overload",
+                           "retry-budget",
+                           "attempts=" + std::to_string(c.attempt()) + "/" +
+                               std::to_string(config_.overload.retry_budget),
+                           false, "retrying", "parked", "",
+                           "retry budget exhausted; parking with slow probes"});
     }
-    sim_.schedule_in(delay,
-                     [this, host, epoch, renewal, next] {
-                         if (host->epoch == epoch) client_start(host, renewal, next);
+    if (!retry.parked) ov_retries_->add();
+    sim_.schedule_in(retry.delay,
+                     [this, host, epoch, renewal] {
+                         if (host->epoch == epoch) client_start(host, renewal, /*fresh=*/false);
                      },
                      "reg-retry");
 }

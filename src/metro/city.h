@@ -39,6 +39,7 @@
 
 #include "core/binding.h"
 #include "core/overload.h"
+#include "core/registration_client.h"
 #include "metro/population.h"
 #include "metro/topology.h"
 #include "obs/decision.h"
@@ -51,12 +52,13 @@
 
 namespace mip::metro {
 
-/// Control-plane overload model for the city (ISSUE 9): when enabled,
-/// every registration exchange runs through a per-home-agent
+/// Control-plane overload model for the city: when enabled, every
+/// registration exchange runs through a per-home-agent
 /// core::RegistrationQueue (bounded, renewal-priority, token-bucket
-/// admission) with an explicit client loop — reply timeout, seeded
-/// decorrelated-jitter retries, a retry budget opening a park-and-probe
-/// circuit — instead of the analytic always-succeeds exchange. An
+/// admission), and each host runs a core::RegistrationClient under a
+/// reply timeout — seeded decorrelated-jitter retries, a retry budget
+/// opening a park-and-probe circuit — instead of the analytic
+/// always-succeeds exchange. An
 /// optional agent flap wipes one agent's table mid-run so its whole
 /// homed population re-registers inside flap_notice_window: the
 /// registration storm the protections exist for. `protection` selects
@@ -195,16 +197,6 @@ private:
         obs::Counter* expired = nullptr;
     };
 
-    /// Per-host client-side exchange state for the overload model (held
-    /// here, not in MetroHost: the arena-built host record stays POD).
-    struct ClientState {
-        std::uint64_t last_xid = 0;  ///< latest send; stale replies dropped
-        std::uint64_t draws = 0;     ///< monotone jitter-draw counter
-        sim::Duration prev_delay = 0;  ///< decorrelated ramp (0 = fresh)
-        bool pending = false;
-        bool circuit_open = false;
-    };
-
     void sample_host(MetroHost* host);
     void begin_registration(MetroHost* host, bool renewal);
     void finish_registration(MetroHost* host, std::uint32_t epoch,
@@ -213,11 +205,13 @@ private:
     sim::Duration member_jitter(std::size_t host_index, std::uint32_t epoch) const;
 
     // --- overload model (ISSUE 9; all no-ops unless overload.enabled) ---
-    /// Launches one wire exchange (send + reply timeout). attempt 0 opens
-    /// a new epoch; retries keep the epoch and bump the xid.
-    void client_start(MetroHost* host, bool renewal, std::uint32_t attempt);
+    /// Launches one wire exchange (send + reply timeout). A fresh one
+    /// opens a new epoch; retries keep the epoch and bump the xid.
+    void client_start(MetroHost* host, bool renewal, bool fresh);
     void client_timeout(MetroHost* host, std::uint32_t epoch, bool renewal,
-                        std::uint32_t attempt, std::uint64_t xid);
+                        std::uint64_t xid);
+    /// One draw from @p host's seeded registration stream.
+    std::uint64_t client_draw(MetroHost* host, core::Draw kind);
     void client_reply(MetroHost* host, std::uint32_t epoch, std::uint64_t xid);
     void server_arrival(MetroHost* host, std::uint32_t epoch, std::int32_t cell,
                         bool renewal, std::uint64_t xid);
@@ -245,7 +239,7 @@ private:
     std::vector<AgentStats> agents_;
     /// Overload model state (empty when overload.enabled is false).
     std::vector<std::unique_ptr<core::RegistrationQueue>> queues_;
-    std::vector<ClientState> clients_;
+    std::vector<core::RegistrationClient> clients_;  ///< one per host
     obs::Counter* ov_retries_ = nullptr;
     obs::Counter* ov_timeouts_ = nullptr;
     obs::Counter* ov_circuit_opens_ = nullptr;

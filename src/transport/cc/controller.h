@@ -141,7 +141,7 @@ struct FactoryContext {
 };
 
 /// Factory named by transport::Config. A null factory means "the default
-/// StaticController built from the config's deprecated rto field".
+/// StaticController at the config's rto".
 using Factory = std::function<std::unique_ptr<CongestionController>(const FactoryContext&)>;
 
 /// Factories for the three stock controllers (see the sibling headers for

@@ -53,9 +53,9 @@ struct TcpEndpoints {
     std::string to_string() const;
 };
 
-/// Transport configuration (ISSUE 10 API redesign): the canonical knobs
-/// are the congestion-controller factory and the pacing toggle; mss and
-/// initial_seq parameterize the wire format.
+/// Transport configuration: the congestion-controller factory, pacing,
+/// the RTO and the give-up threshold; mss and initial_seq parameterize
+/// the wire format.
 struct Config {
     std::size_t mss = 1000;  ///< app bytes per segment
     std::uint32_t initial_seq = 1000;
@@ -69,25 +69,13 @@ struct Config {
     /// is safe to leave on with the static controller).
     bool paced = false;
 
-    // ---- deprecated aliases (kept for one release) ------------------------
-    // Migration: `rto` and `max_retries` were TcpConnection::Config's only
-    // knobs. `rto` is now the *initial/static* RTO — the parameter of the
-    // default StaticController and the seed for adaptive controllers,
-    // which take over rto scheduling entirely. `max_retries` remains the
-    // connection give-up threshold (controller-independent). New code
-    // should set `controller`/`paced` and treat these two as the legacy
-    // spelling; they will fold into the factory context next release.
-    sim::Duration rto = sim::milliseconds(200);  ///< deprecated: initial RTO
-    unsigned max_retries = 8;                    ///< deprecated: give up after this many RTOs
+    /// The static RTO of the default StaticController, and the initial
+    /// RTO an adaptive controller starts from before it takes over.
+    sim::Duration rto = sim::milliseconds(200);
+    /// Give-up threshold, whatever the controller: the connection is
+    /// abandoned once more than this many consecutive RTOs fire.
+    unsigned max_retries = 8;
 };
-static_assert(sizeof(Config::rto) > 0,
-              "transport::Config::rto / max_retries are deprecated aliases "
-              "(see the migration note above): configure a controller "
-              "factory + paced flag instead.");
-
-/// Deprecated name for transport::Config (pre-ISSUE-10). Will be removed
-/// next release.
-using TcpConfig = Config;
 
 enum class TcpState {
     SynSent,
