@@ -149,7 +149,8 @@ int main(int argc, char** argv) {
 
     // Section 2: byte-identity at --jobs >= 2 (quiet: no artifact races).
     const int compare_jobs = opt.jobs > 1 ? opt.jobs : 2;
-    const bench::HarnessOptions quiet{.smoke = opt.smoke, .seeds = opt.seeds};
+    const bench::HarnessOptions quiet{
+        .smoke = opt.smoke, .seeds = opt.seeds, .metrics_dir = {}, .perfetto_dir = {}};
     const sweep::SweepRunner par_runner({.jobs = compare_jobs});
     const sweep::SweepOutcome par =
         par_runner.run(bench::overload::seed_jobs(seeds, opt.smoke, quiet));

@@ -336,7 +336,8 @@ void print_figure(const bench::HarnessOptions& opt) {
                        serial.report("bench_city", "sweep").dump(2) + "\n");
 
     // Section 2: byte-identity at --jobs >= 2 (quiet: no artifact races).
-    const bench::HarnessOptions quiet{.smoke = opt.smoke, .seeds = opt.seeds};
+    const bench::HarnessOptions quiet{
+        .smoke = opt.smoke, .seeds = opt.seeds, .metrics_dir = {}, .perfetto_dir = {}};
     const sweep::SweepRunner par_runner({.jobs = compare_jobs});
     const sweep::SweepOutcome par = par_runner.run(seed_jobs(p, quiet));
     bool identical_sweep =
