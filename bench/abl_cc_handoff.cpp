@@ -15,7 +15,8 @@
 //                  have moved by a single trace event.
 //   determinism    the whole sweep re-runs at --jobs >= 2; the merged
 //                  report and per-job metrics snapshots must be byte-
-//                  identical to the serial reference (DESIGN §10).
+//                  identical to the serial reference
+//                  (bench::run_deterministic_sweep, DESIGN §10).
 //   verdict        exit-asserted contract. Static legs match the golden;
 //                  on every congested (squeeze) row the delay-gradient
 //                  controller's p95 queueing delay is measurably below
@@ -29,11 +30,8 @@
 // trendline.
 #include "cc_leg.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <map>
-#include <sstream>
-#include <thread>
 
 #include "common.h"
 #include "sweep/sweep.h"
@@ -175,41 +173,6 @@ std::map<std::string, std::string> load_golden(bool smoke) {
     return lines;
 }
 
-void merge_into_perf_report(const bench::HarnessOptions& opt, obs::JsonValue::Object cc) {
-    const char* out = std::getenv("M4X4_BENCH_PERF_OUT");
-    if (opt.smoke && (out == nullptr || out[0] == '\0')) return;
-    const std::string path = (out != nullptr && out[0] != '\0') ? out : "BENCH_perf.json";
-
-    obs::JsonValue doc;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            try {
-                doc = obs::JsonValue::parse(buf.str());
-            } catch (const obs::JsonError&) {
-                doc = obs::JsonValue();
-            }
-        }
-    }
-    if (!doc.is_object()) {
-        obs::JsonValue::Object fresh;
-        fresh["schema_version"] = 3;
-        fresh["kind"] = "bench_perf";
-        fresh["smoke"] = opt.smoke;
-        fresh["scenarios"] = obs::JsonValue::Array{};
-        doc = obs::JsonValue(std::move(fresh));
-    }
-    doc["hardware_concurrency"] =
-        static_cast<std::uint64_t>(std::thread::hardware_concurrency());
-    doc["cc"] = obs::JsonValue(std::move(cc));
-
-    std::ofstream f(path);
-    f << doc.dump(2) << "\n";
-    std::printf("merged cc block into %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -225,10 +188,12 @@ int main(int argc, char** argv) {
         "hold a measurably smaller standing queue than the loss controller\n"
         "wherever the path is genuinely congested.");
 
-    // Section 1: the serial reference sweep.
-    const std::vector<sweep::JobSpec> jobs = sweep_jobs(opt.smoke);
-    const sweep::SweepRunner serial_runner({.jobs = 1});
-    const sweep::SweepOutcome serial = serial_runner.run(sweep_jobs(opt.smoke));
+    // Sections 1 and 3: the serial reference sweep and its byte-identity
+    // re-run at --jobs >= 2.
+    const bench::DeterministicSweep legs = bench::run_deterministic_sweep(
+        opt, "abl_cc_handoff",
+        [](const bench::HarnessOptions& o) { return sweep_jobs(o.smoke); });
+    const sweep::SweepOutcome& serial = legs.serial;
 
     std::printf("%-26s %5s %9s %7s %5s %5s %10s %8s\n", "leg", "done", "dur(ms)",
                 "acked", "retx", "lost", "p95 qd(ms)", "samples");
@@ -244,7 +209,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < serial.results.size(); ++i) {
         const sweep::JobResult& r = serial.results[i];
         if (!r.ok) {
-            std::printf("job %s failed: %s\n", jobs[i].label.c_str(), r.error.c_str());
+            std::printf("job %s failed: %s\n", serial.specs[i].label.c_str(),
+                        r.error.c_str());
             ++failures;
             continue;
         }
@@ -259,17 +225,15 @@ int main(int argc, char** argv) {
         pool_acquires += static_cast<std::uint64_t>(row.at("pool_acquires").as_number());
         pool_reuses += static_cast<std::uint64_t>(row.at("pool_reuses").as_number());
         decision_events += r.decision_count;
-        rendered[jobs[i].label] = row.at("rendered").as_string();
+        rendered[serial.specs[i].label] = row.at("rendered").as_string();
         std::printf("%-26s %5s %9.0f %7.0f %5.0f %5.0f %10.2f %8.0f\n",
-                    jobs[i].label.c_str(), bench::yn(row.at("completed").as_bool()),
+                    serial.specs[i].label.c_str(), bench::yn(row.at("completed").as_bool()),
                     row.at("duration_ms").as_number(),
                     row.at("bytes_acked").as_number(),
                     row.at("retransmissions").as_number(),
                     row.at("frames_lost").as_number(), q,
                     row.at("rtt_samples").as_number());
     }
-    bench::export_text(opt.metrics_dir, "abl_cc_handoff", "sweep", ".json",
-                       serial.report("abl_cc_handoff", "sweep").dump(2) + "\n");
 
     // Section 2: the golden anchor — static legs vs the pre-refactor run.
     const std::map<std::string, std::string> golden = load_golden(opt.smoke);
@@ -288,24 +252,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\ngolden anchor: %zu static leg(s), %d mismatch(es)\n",
                 golden.size(), golden_mismatch);
-
-    // Section 3: byte-identity at --jobs >= 2.
-    const int compare_jobs = opt.jobs > 1 ? opt.jobs : 2;
-    const sweep::SweepRunner par_runner({.jobs = compare_jobs});
-    const sweep::SweepOutcome par = par_runner.run(sweep_jobs(opt.smoke));
-    bool identical = par.report("abl_cc_handoff", "sweep").dump(2) ==
-                         serial.report("abl_cc_handoff", "sweep").dump(2) &&
-                     par.results.size() == serial.results.size();
-    if (identical) {
-        for (std::size_t i = 0; i < par.results.size(); ++i) {
-            if (par.results[i].metrics.dump(2) != serial.results[i].metrics.dump(2)) {
-                identical = false;
-                break;
-            }
-        }
-    }
-    std::printf("sweep determinism: jobs=1 vs jobs=%d artifacts identical: %s\n",
-                compare_jobs, bench::yn(identical));
 
     // Section 4: the verdict.
     int queue_fail = 0;
@@ -340,7 +286,7 @@ int main(int argc, char** argv) {
 
     obs::JsonValue::Object block;
     block["smoke"] = opt.smoke;
-    block["legs"] = static_cast<std::uint64_t>(jobs.size());
+    block["legs"] = static_cast<std::uint64_t>(serial.specs.size());
     block["events"] = total_events;
     block["events_per_sec"] =
         serial.wall_ms > 0 ? static_cast<double>(total_events) / (serial.wall_ms / 1e3)
@@ -352,9 +298,9 @@ int main(int argc, char** argv) {
             ? static_cast<double>(pool_reuses) / static_cast<double>(pool_acquires)
             : 0.0;
     block["decision_events"] = decision_events;
-    block["artifacts_identical"] = identical;
+    block["artifacts_identical"] = legs.identical;
     block["golden_mismatches"] = static_cast<std::uint64_t>(golden_mismatch);
-    merge_into_perf_report(opt, std::move(block));
+    bench::merge_perf_report(opt, "cc", obs::JsonValue(std::move(block)));
 
     int rc = 0;
     if (failures > 0) {
@@ -378,9 +324,9 @@ int main(int argc, char** argv) {
                     "controller.\n", clean_fail);
         rc = 1;
     }
-    if (!identical) {
+    if (!legs.identical) {
         std::printf("\nFAIL: sweep artifacts differ between jobs=1 and jobs=%d.\n",
-                    compare_jobs);
+                    legs.compare_jobs);
         rc = 1;
     }
     if (rc == 0) {

@@ -12,7 +12,7 @@
 //   determinism    the whole sweep re-runs with --jobs >= 2 and every
 //                  artifact (merged report + per-job snapshots) must be
 //                  byte-identical to the serial run — the DESIGN §10
-//                  contract at city scale.
+//                  contract at city scale (bench::run_deterministic_sweep).
 //   find_link      before/after microbenchmark of World::find_link on a
 //                  256-router backbone: the name index vs the seed's
 //                  linear scan (ISSUE 6 satellite).
@@ -28,9 +28,6 @@
 #include "common.h"
 
 #include <chrono>
-#include <fstream>
-#include <sstream>
-#include <thread>
 #include <vector>
 
 #include "metro/city.h"
@@ -51,7 +48,6 @@ struct CityParams {
     std::uint32_t storm_threshold;
     sim::Duration metrics_interval;
     std::size_t probes_per_sweep;
-    bool sampler_delta = true;  ///< delta vs full-walk sampler (obs section)
 };
 
 CityParams params(const bench::HarnessOptions& opt) {
@@ -77,7 +73,6 @@ metro::CityConfig city_config(const CityParams& p, std::uint64_t seed) {
     cfg.storm_threshold = p.storm_threshold;
     cfg.metrics_interval = p.metrics_interval;
     cfg.probes_per_sweep = p.probes_per_sweep;
-    cfg.sampler_delta = p.sampler_delta;
     // The online storm detector (ISSUE 8): a rate-spike monitor over the
     // aggregate handoff counter, evaluated every 5 s. The floor scales
     // with the population so the smoke city's waves register too.
@@ -93,9 +88,9 @@ std::uint64_t city_counter(metro::CitySim& city, const char* name) {
     return city.metrics().counter("city", "metro", name).value();
 }
 
-/// One JobSpec per seed. Exports go through @p opt — pass a quiet options
-/// struct for comparison runs so parallel jobs never race on artifact
-/// files with the reference run.
+/// One JobSpec per seed. Exports go through @p opt — pass opt.quiet() for
+/// comparison runs so parallel jobs never race on artifact files with the
+/// reference run.
 std::vector<sweep::JobSpec> seed_jobs(const CityParams& p,
                                       const bench::HarnessOptions& opt) {
     std::vector<sweep::JobSpec> jobs;
@@ -199,101 +194,47 @@ CityRun run_city_once(const CityParams& p) {
     return {city.events_fired(), std::chrono::duration<double, std::milli>(t1 - t0).count()};
 }
 
-/// ISSUE 7 / PR 8: the city-scale observability overhead — the same
-/// seed-1 city under three sampling strategies: off entirely, the
-/// delta-sampled dirty feed (the product default since PR 8), and the
-/// full-walk reference path. overhead_pct (delta vs off) is the number
-/// check_perf_trend.py gates; fullwalk_overhead_pct documents what the
-/// dirty-feed rebuild buys at city scale. (CitySim has no per-packet
-/// trace recorder — its observability cost is the sampler plus the
-/// arena-backed decision log, which is exactly what this isolates.)
-/// @p events_per_sec receives the delta (product-default) run's rate.
+/// The city-scale observability overhead: the same seed-1 city with the
+/// sampler off and with the delta-sampled dirty feed (the product
+/// default). overhead_pct is the number check_perf_trend.py gates.
+/// (CitySim has no per-packet trace recorder — its observability cost is
+/// the sampler plus the arena-backed decision log, which is exactly what
+/// this isolates.) @p events_per_sec receives the sampler-on run's rate.
 obs::JsonValue::Object measure_observability(const bench::HarnessOptions& opt,
                                              const CityParams& p, double& events_per_sec) {
     const int reps = opt.pick(3, 2);
     CityParams off = p;
     off.metrics_interval = 0;  // sampler never constructed
-    CityParams delta = p;
-    delta.sampler_delta = true;
-    CityParams walk = p;
-    walk.sampler_delta = false;
 
-    // Interleaved reps (off, delta, walk, off, ...): measuring all reps
-    // of one configuration in a block lets machine-state drift across the
-    // blocks masquerade as sampler overhead; alternating spreads it.
+    // Interleaved reps (off, on, off, ...): measuring all reps of one
+    // configuration in a block lets machine-state drift across the blocks
+    // masquerade as sampler overhead; alternating spreads it.
     run_city_once(off);  // warm-up, discarded
-    const std::uint64_t events = run_city_once(delta).events;
-    std::vector<double> off_walls, delta_walls, walk_walls;
+    const std::uint64_t events = run_city_once(p).events;
+    std::vector<double> off_walls, on_walls;
     for (int i = 0; i < reps; ++i) {
         off_walls.push_back(run_city_once(off).wall_ms);
-        delta_walls.push_back(run_city_once(delta).wall_ms);
-        walk_walls.push_back(run_city_once(walk).wall_ms);
+        on_walls.push_back(run_city_once(p).wall_ms);
     }
     const auto median = [](std::vector<double>& walls) {
         std::sort(walls.begin(), walls.end());
         return walls[walls.size() / 2];
     };
     const double off_ms = median(off_walls);
-    const double delta_ms = median(delta_walls);
-    const double walk_ms = median(walk_walls);
-    const double pct = off_ms > 0 ? (delta_ms - off_ms) / off_ms * 100.0 : 0.0;
-    const double walk_pct = off_ms > 0 ? (walk_ms - off_ms) / off_ms * 100.0 : 0.0;
-    events_per_sec = delta_ms > 0 ? static_cast<double>(events) / (delta_ms / 1e3) : 0.0;
+    const double on_ms = median(on_walls);
+    const double pct = off_ms > 0 ? (on_ms - off_ms) / off_ms * 100.0 : 0.0;
+    events_per_sec = on_ms > 0 ? static_cast<double>(events) / (on_ms / 1e3) : 0.0;
 
     std::printf("\nobservability overhead (seed-1 city, median of %d):\n", reps);
-    std::printf("  sampler off %10.1f ms   delta %10.1f ms (%+.1f%%)   full walk "
-                "%10.1f ms (%+.1f%%)\n",
-                off_ms, delta_ms, pct, walk_ms, walk_pct);
+    std::printf("  sampler off %10.1f ms   on %10.1f ms (%+.1f%%)\n", off_ms, on_ms, pct);
 
     obs::JsonValue::Object o;
     o["sampler_off_wall_ms"] = off_ms;
-    o["sampler_on_wall_ms"] = delta_ms;
-    o["fullwalk_wall_ms"] = walk_ms;
+    o["sampler_on_wall_ms"] = on_ms;
     o["overhead_pct"] = pct;
-    o["fullwalk_overhead_pct"] = walk_pct;
     o["metrics_interval_s"] = sim::to_seconds(p.metrics_interval);
     o["reps"] = reps;
     return o;
-}
-
-/// Merges the city block into BENCH_perf.json without clobbering the
-/// bench_perf scenario data already there (the two binaries share the
-/// file; CI runs them back to back into M4X4_BENCH_PERF_OUT). Smoke runs
-/// write only when the override is set, same rule as bench_perf.
-void merge_into_perf_report(const bench::HarnessOptions& opt,
-                            obs::JsonValue::Object city) {
-    const char* out = std::getenv("M4X4_BENCH_PERF_OUT");
-    if (opt.smoke && (out == nullptr || out[0] == '\0')) return;
-    const std::string path = (out != nullptr && out[0] != '\0') ? out : "BENCH_perf.json";
-
-    obs::JsonValue doc;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            try {
-                doc = obs::JsonValue::parse(buf.str());
-            } catch (const obs::JsonError&) {
-                doc = obs::JsonValue();
-            }
-        }
-    }
-    if (!doc.is_object()) {
-        obs::JsonValue::Object fresh;
-        fresh["schema_version"] = 3;
-        fresh["kind"] = "bench_perf";
-        fresh["smoke"] = opt.smoke;
-        fresh["scenarios"] = obs::JsonValue::Array{};
-        doc = obs::JsonValue(std::move(fresh));
-    }
-    doc["hardware_concurrency"] =
-        static_cast<std::uint64_t>(std::thread::hardware_concurrency());
-    doc["city"] = obs::JsonValue(std::move(city));
-
-    std::ofstream f(path);
-    f << doc.dump(2) << "\n";
-    std::printf("merged city block into %s\n", path.c_str());
 }
 
 void print_figure(const bench::HarnessOptions& opt) {
@@ -305,11 +246,13 @@ void print_figure(const bench::HarnessOptions& opt) {
         "at any --jobs.");
 
     const CityParams p = params(opt);
-    const int compare_jobs = opt.jobs > 1 ? opt.jobs : 2;
 
-    // Section 1: the seed sweep (serial reference run exports artifacts).
-    const sweep::SweepRunner serial_runner({.jobs = 1});
-    const sweep::SweepOutcome serial = serial_runner.run(seed_jobs(p, opt));
+    // Sections 1 and 2: the seed sweep, serial reference (which exports
+    // the artifacts) plus its byte-identity re-run at --jobs >= 2.
+    const bench::DeterministicSweep seed_sweep = bench::run_deterministic_sweep(
+        opt, "bench_city",
+        [&p](const bench::HarnessOptions& o) { return seed_jobs(p, o); });
+    const sweep::SweepOutcome& serial = seed_sweep.serial;
     std::printf("%6s %10s %10s %10s %10s %8s %7s\n", "seed", "events", "handoffs",
                 "regs", "probes", "deliv", "storms");
     std::uint64_t events_total = 0;
@@ -332,27 +275,6 @@ void print_figure(const bench::HarnessOptions& opt) {
                     r.report.at("probes").as_number(), deliv * 100.0,
                     r.report.at("storm_trips").as_number());
     }
-    bench::export_text(opt.metrics_dir, "bench_city", "sweep", ".json",
-                       serial.report("bench_city", "sweep").dump(2) + "\n");
-
-    // Section 2: byte-identity at --jobs >= 2 (quiet: no artifact races).
-    const bench::HarnessOptions quiet{
-        .smoke = opt.smoke, .seeds = opt.seeds, .metrics_dir = {}, .perfetto_dir = {}};
-    const sweep::SweepRunner par_runner({.jobs = compare_jobs});
-    const sweep::SweepOutcome par = par_runner.run(seed_jobs(p, quiet));
-    bool identical_sweep =
-        par.report("bench_city", "sweep").dump(2) == serial.report("bench_city", "sweep").dump(2) &&
-        par.results.size() == serial.results.size();
-    if (identical_sweep) {
-        for (std::size_t i = 0; i < par.results.size(); ++i) {
-            if (par.results[i].metrics.dump(2) != serial.results[i].metrics.dump(2)) {
-                identical_sweep = false;
-                break;
-            }
-        }
-    }
-    std::printf("\nsweep determinism: jobs=1 vs jobs=%d artifacts identical: %s\n",
-                compare_jobs, bench::yn(identical_sweep));
 
     // Sections 3 and 4.
     obs::JsonValue::Object find_link = measure_find_link(opt);
@@ -370,17 +292,17 @@ void print_figure(const bench::HarnessOptions& opt) {
     city["events_per_sec"] = events_per_sec;
     city["deliverability_min"] = deliv_min;
     city["storm_trips"] = storm_trips_total;
-    city["artifacts_identical"] = identical_sweep;
-    city["compare_jobs"] = compare_jobs;
+    city["artifacts_identical"] = seed_sweep.identical;
+    city["compare_jobs"] = seed_sweep.compare_jobs;
     city["find_link"] = std::move(find_link);
     city["observability"] = std::move(observability);
-    merge_into_perf_report(opt, std::move(city));
+    bench::merge_perf_report(opt, "city", obs::JsonValue(std::move(city)));
 
     std::printf("\ncity events/sec (single core): %.0f\n", events_per_sec);
 
-    if (serial.failures() > 0 || !identical_sweep) {
+    if (serial.failures() > 0 || !seed_sweep.identical) {
         std::printf("\nFAIL: %zu job failures, sweep identical=%s\n", serial.failures(),
-                    bench::yn(identical_sweep));
+                    bench::yn(seed_sweep.identical));
         std::exit(1);
     }
 }

@@ -31,10 +31,12 @@
 // A fourth section measures the sweep engine itself: the chaos seed
 // sweep (chaos_sweep.h) serially and with --jobs {2,4}, recording the
 // speedup and verifying the per-job results and the merged report are
-// byte-identical to the serial run. Results go to stdout and to
-// BENCH_perf.json (M4X4_BENCH_PERF_OUT overrides the path; under --smoke
-// the file is only written when that override is set, so smoke runs do
-// not clobber a real machine baseline with tiny-scenario numbers).
+// byte-identical to the serial run (sweep::identical_artifacts). Results
+// go to stdout and are merged into BENCH_perf.json next to the other
+// benches' blocks (bench::merge_perf_report: M4X4_BENCH_PERF_OUT
+// overrides the path; under --smoke the file is only written when that
+// override is set, so smoke runs do not clobber a real machine baseline
+// with tiny-scenario numbers).
 //
 // Wall-clock numbers are machine-dependent by nature; everything else
 // this repo emits is deterministic, which is why bench_perf has its own
@@ -44,7 +46,6 @@
 
 #include <chrono>
 #include <cinttypes>
-#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -306,16 +307,12 @@ obs::JsonValue::Object measure_sweep_scaling(const bench::HarnessOptions& opt) {
     const int seeds = opt.pick(20, 5);
     // Exports disabled: these sweeps measure compute, and must not clobber
     // the figure artifacts abl_chaos exports.
-    const bench::HarnessOptions quiet{
-        .smoke = opt.smoke, .metrics_dir = {}, .perfetto_dir = {}};
-
     const auto run_with = [&](int jobs) {
         const sweep::SweepRunner runner({.jobs = jobs});
-        return runner.run(bench::chaos::seed_jobs(seeds, opt.smoke, quiet));
+        return runner.run(bench::chaos::seed_jobs(seeds, opt.smoke, opt.quiet()));
     };
 
     const sweep::SweepOutcome serial = run_with(1);
-    const std::string serial_report = serial.report("abl_chaos", "sweep").dump(2);
 
     std::printf("\nsweep scaling (%d-seed chaos sweep, hardware_concurrency=%u):\n",
                 seeds, std::thread::hardware_concurrency());
@@ -326,16 +323,7 @@ obs::JsonValue::Object measure_sweep_scaling(const bench::HarnessOptions& opt) {
     obs::JsonValue::Array parallel;
     for (const int jobs : {2, 4}) {
         const sweep::SweepOutcome par = run_with(jobs);
-        bool identical = par.report("abl_chaos", "sweep").dump(2) == serial_report &&
-                         par.results.size() == serial.results.size();
-        if (identical) {
-            for (std::size_t i = 0; i < par.results.size(); ++i) {
-                if (par.results[i].metrics.dump(2) != serial.results[i].metrics.dump(2)) {
-                    identical = false;
-                    break;
-                }
-            }
-        }
+        const bool identical = sweep::identical_artifacts(serial, par);
         all_identical = all_identical && identical;
         const double speedup = par.wall_ms > 0 ? serial.wall_ms / par.wall_ms : 0.0;
         std::printf("%6d  %12.1f  %7.2fx  %10s\n", jobs, par.wall_ms, speedup,
@@ -355,19 +343,6 @@ obs::JsonValue::Object measure_sweep_scaling(const bench::HarnessOptions& opt) {
     sw["hardware_concurrency"] =
         static_cast<std::uint64_t>(std::thread::hardware_concurrency());
     return sw;
-}
-
-void write_report(const bench::HarnessOptions& opt, const obs::JsonValue& doc) {
-    const char* out = std::getenv("M4X4_BENCH_PERF_OUT");
-    if (opt.smoke && (out == nullptr || out[0] == '\0')) {
-        // Smoke scenarios are deliberately tiny; their wall-clock numbers
-        // would overwrite a meaningful baseline.
-        return;
-    }
-    const std::string path = (out != nullptr && out[0] != '\0') ? out : "BENCH_perf.json";
-    std::ofstream f(path);
-    f << doc.dump(2) << "\n";
-    std::printf("wrote %s\n", path.c_str());
 }
 
 void print_figure(const bench::HarnessOptions& opt) {
@@ -467,16 +442,12 @@ void print_figure(const bench::HarnessOptions& opt) {
     std::printf("\nper-kind profile of the largest scenario (instrumented run):\n%s\n",
                 largest_profile.c_str());
 
-    obs::JsonValue::Object doc;
-    doc["schema_version"] = 3;
-    doc["kind"] = "bench_perf";
-    doc["smoke"] = opt.smoke;
-    doc["reps"] = reps;
-    doc["hardware_concurrency"] =
-        static_cast<std::uint64_t>(std::thread::hardware_concurrency());
-    doc["scenarios"] = std::move(rows);
-    doc["sweep_scaling"] = measure_sweep_scaling(opt);
-    write_report(opt, obs::JsonValue(std::move(doc)));
+    obs::JsonValue::Object keys;
+    keys["smoke"] = opt.smoke;
+    keys["reps"] = reps;
+    keys["scenarios"] = std::move(rows);
+    keys["sweep_scaling"] = measure_sweep_scaling(opt);
+    for (auto& [key, block] : keys) bench::merge_perf_report(opt, key, std::move(block));
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 # M4X4_SMOKE=1 shrinks each figure's sweep to a couple of points and skips
 # the google-benchmark microbenchmarks; M4X4_METRICS_DIR points the exports
 # at a scratch directory that is validated (and removed) afterwards.
+# M4X4_BENCH_PERF_OUT puts the BENCH_perf.json document that abl_cc_handoff,
+# abl_overload, bench_perf and bench_city merge their blocks into in the
+# same directory, so the merged document is schema-checked too.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -28,7 +31,8 @@ for bench in "$bindir"/fig* "$bindir"/abl_* "$bindir"/bench_perf "$bindir"/bench
     esac
     ran=$((ran + 1))
     echo "== smoke: $(basename "$bench")"
-    if ! M4X4_SMOKE=1 M4X4_METRICS_DIR="$outdir" "$bench" > /dev/null; then
+    if ! M4X4_SMOKE=1 M4X4_METRICS_DIR="$outdir" \
+         M4X4_BENCH_PERF_OUT="$outdir/bench_perf.json" "$bench" > /dev/null; then
         echo "bench_smoke: $(basename "$bench") FAILED" >&2
         status=1
     fi

@@ -8,7 +8,7 @@
 // The CLI/environment contract (--smoke, --seeds, --jobs, --metrics-dir,
 // --perfetto and their M4X4_* equivalents), the export_* helpers and the
 // M4X4_BENCH_MAIN macro live in harness.h — figures receive a parsed
-// bench::HarnessOptions instead of reading getenv themselves.
+// bench::HarnessOptions instead of reading the environment themselves.
 #pragma once
 
 #include <benchmark/benchmark.h>

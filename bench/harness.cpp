@@ -7,6 +7,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <thread>
 
 #include "core/scenario.h"
 
@@ -45,6 +47,7 @@ HarnessOptions parse_harness_options(int* argc, char** argv) {
     opt.smoke = env_or_empty("M4X4_SMOKE")[0] != '\0';
     opt.metrics_dir = env_or_empty("M4X4_METRICS_DIR");
     opt.perfetto_dir = env_or_empty("M4X4_PERFETTO_DIR");
+    opt.perf_out = env_or_empty("M4X4_BENCH_PERF_OUT");
 
     // ... then flags override, compacting argv so google-benchmark never
     // sees the harness's arguments.
@@ -153,6 +156,56 @@ void export_text(const std::string& dir, const std::string& bench,
     if (path.empty()) return;
     std::ofstream out(path);
     out << text;
+}
+
+DeterministicSweep run_deterministic_sweep(
+    const HarnessOptions& opt, const std::string& bench,
+    const std::function<std::vector<mip::sweep::JobSpec>(const HarnessOptions&)>&
+        make_jobs) {
+    DeterministicSweep out;
+    out.serial = mip::sweep::SweepRunner({.jobs = 1}).run(make_jobs(opt));
+    export_text(opt.metrics_dir, bench, "sweep", ".json",
+                out.serial.report(bench, "sweep").dump(2) + "\n");
+
+    out.compare_jobs = opt.jobs > 1 ? opt.jobs : 2;
+    const mip::sweep::SweepOutcome par =
+        mip::sweep::SweepRunner({.jobs = out.compare_jobs}).run(make_jobs(opt.quiet()));
+    out.identical = mip::sweep::identical_artifacts(out.serial, par);
+    std::printf("sweep determinism: jobs=1 vs jobs=%d artifacts identical: %s\n",
+                out.compare_jobs, out.identical ? "yes" : "no");
+    return out;
+}
+
+void merge_perf_report(const HarnessOptions& opt, const std::string& key,
+                       mip::obs::JsonValue block) {
+    if (opt.smoke && opt.perf_out.empty()) return;
+    const std::string path = opt.perf_out.empty() ? "BENCH_perf.json" : opt.perf_out;
+
+    mip::obs::JsonValue doc;
+    if (std::ifstream in(path, std::ios::binary); in) {
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        try {
+            doc = mip::obs::JsonValue::parse(buf.str());
+        } catch (const mip::obs::JsonError&) {
+            doc = mip::obs::JsonValue();
+        }
+    }
+    if (!doc.is_object()) {
+        mip::obs::JsonValue::Object fresh;
+        fresh["schema_version"] = 3;
+        fresh["kind"] = "bench_perf";
+        fresh["smoke"] = opt.smoke;
+        fresh["scenarios"] = mip::obs::JsonValue::Array{};
+        doc = mip::obs::JsonValue(std::move(fresh));
+    }
+    doc["hardware_concurrency"] =
+        static_cast<std::uint64_t>(std::thread::hardware_concurrency());
+    doc[key] = std::move(block);
+
+    std::ofstream f(path);
+    f << doc.dump(2) << "\n";
+    std::printf("merged %s into %s\n", key.c_str(), path.c_str());
 }
 
 int bench_main(int argc, char** argv, void (*run)(const HarnessOptions&)) {

@@ -1,13 +1,12 @@
 // bench::Harness — the one place the bench binaries' CLI/environment
-// contract lives (ISSUE 5 satellite: extract the argv/env boilerplate).
+// contract lives, plus the sweep and BENCH_perf.json scaffolding the
+// sweep-style benches share.
 //
-// Every figure binary used to read M4X4_SMOKE / M4X4_METRICS_DIR /
-// M4X4_PERFETTO_DIR on its own and hand-roll `--smoke` parsing. Now a
-// single parse builds a HarnessOptions and each figure registers a
+// A single parse builds a HarnessOptions and each figure registers a
 //
 //     void print_figure(const bench::HarnessOptions& opt);
 //
-// callback via M4X4_BENCH_MAIN(print_figure). The flags:
+// callback via M4X4_BENCH_MAIN(print_figure). The flags and variables:
 //
 //   --smoke            shrink scenarios, skip the google-benchmark
 //                      microbenchmarks (same as M4X4_SMOKE=1)
@@ -19,15 +18,20 @@
 //                      (same as M4X4_METRICS_DIR=DIR)
 //   --perfetto DIR     export Chrome-trace JSON here
 //                      (same as M4X4_PERFETTO_DIR=DIR)
+//   M4X4_BENCH_PERF_OUT=PATH
+//                      where merge_perf_report writes BENCH_perf.json
+//                      (environment only; see merge_perf_report)
 //
 // Environment variables are read first, flags override them — so
 // bench_smoke.sh keeps driving everything through the environment while
 // a human at a shell can type flags. The export_* helpers take the
-// options explicitly; nothing outside parse_harness_options() touches
-// getenv for these knobs.
+// options explicitly; nothing outside parse_harness_options() reads the
+// environment.
 #pragma once
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "obs/decision.h"
 #include "obs/incident.h"
@@ -35,6 +39,7 @@
 #include "obs/perfetto.h"
 #include "obs/timeseries.h"
 #include "sim/time.h"
+#include "sweep/sweep.h"
 
 namespace mip::core {
 class World;
@@ -48,6 +53,7 @@ struct HarnessOptions {
     int jobs = 1;               ///< --jobs N: SweepRunner worker threads
     std::string metrics_dir;    ///< --metrics-dir / M4X4_METRICS_DIR ("" = off)
     std::string perfetto_dir;   ///< --perfetto / M4X4_PERFETTO_DIR ("" = off)
+    std::string perf_out;       ///< M4X4_BENCH_PERF_OUT ("" = default path)
 
     /// Pick @p full normally, @p small under --smoke.
     template <typename T>
@@ -57,6 +63,15 @@ struct HarnessOptions {
 
     bool metrics_enabled() const { return !metrics_dir.empty(); }
     bool perfetto_enabled() const { return !perfetto_dir.empty(); }
+
+    /// These options with every artifact export switched off: for
+    /// comparison runs that must not race the reference run's files.
+    HarnessOptions quiet() const {
+        HarnessOptions q = *this;
+        q.metrics_dir.clear();
+        q.perfetto_dir.clear();
+        return q;
+    }
 };
 
 /// Builds the options from the environment, then applies recognized flags
@@ -108,6 +123,32 @@ void export_perfetto(const HarnessOptions& opt, const mip::obs::ChromeTraceWrite
 /// sweep reports and other already-serialized documents.
 void export_text(const std::string& dir, const std::string& bench,
                  const std::string& label, const char* suffix, const std::string& text);
+
+/// A sweep run under the determinism contract (DESIGN.md §10).
+struct DeterministicSweep {
+    mip::sweep::SweepOutcome serial;  ///< the reference run (exports happened)
+    int compare_jobs = 2;             ///< thread count of the comparison run
+    bool identical = false;           ///< sweep::identical_artifacts verdict
+};
+
+/// Runs the jobs @p make_jobs builds twice: serially with @p opt (so the
+/// jobs export their artifacts), then at opt.jobs threads (2 when opt.jobs
+/// is 1) with opt.quiet(). Exports the serial run's merged report as
+/// <metrics_dir>/<bench>_sweep.json and prints the "sweep determinism"
+/// line. The benches read their tables from the serial run.
+DeterministicSweep run_deterministic_sweep(
+    const HarnessOptions& opt, const std::string& bench,
+    const std::function<std::vector<mip::sweep::JobSpec>(const HarnessOptions&)>&
+        make_jobs);
+
+/// Sets top-level @p key of BENCH_perf.json to @p block, keeping every
+/// other key. The path is opt.perf_out, else BENCH_perf.json in the
+/// working directory; under --smoke nothing is written unless perf_out is
+/// set, so tiny-scenario numbers never replace a real baseline. A missing
+/// or unparsable file starts a fresh schema-3 document. Also records the
+/// machine's hardware_concurrency.
+void merge_perf_report(const HarnessOptions& opt, const std::string& key,
+                       mip::obs::JsonValue block);
 
 /// The standard figure main: parse the harness options, print the
 /// figure's table via @p run, then (outside --smoke) hand the remaining

@@ -139,8 +139,7 @@ const std::vector<SchemaSection>& exported_schema() {
           "artifacts_identical", "parallel", "speedup", "city", "hosts", "cells",
           "find_link", "links", "indexed_ns", "linear_ns", "lookups",
           "observability", "sampler_off_wall_ms", "sampler_on_wall_ms",
-          "fullwalk_wall_ms", "fullwalk_overhead_pct", "overhead_pct",
-          "metrics_interval_s", "sweep_wall_ms", "handoffs", "registrations",
+          "overhead_pct", "metrics_interval_s", "sweep_wall_ms", "handoffs", "registrations",
           "probes", "probes_delivered", "deliverability", "storm_trips",
           "compare_jobs"}},
     };

@@ -113,9 +113,6 @@ struct CityConfig {
     std::size_t probes_per_sweep = 256;
     /// Attach a MetricsSampler at this interval (0 = off).
     sim::Duration metrics_interval = 0;
-    /// Delta-sampled (dirty-feed) vs full-walk sampler — same bytes, see
-    /// obs/timeseries.h. Exposed so bench_city can measure both paths.
-    bool sampler_delta = true;
     /// Attach a HealthMonitor at this interval (0 = off). The monitor
     /// watches the citywide handoff wave: an EWMA rate-spike rule over
     /// the aggregate city/metro/handoffs counter trips when one

@@ -204,6 +204,17 @@ obs::JsonValue SweepOutcome::report(const std::string& bench,
     return obs::JsonValue(std::move(doc));
 }
 
+bool identical_artifacts(const SweepOutcome& a, const SweepOutcome& b) {
+    if (a.results.size() != b.results.size()) return false;
+    // bench and label are the same literal on both sides, so only the
+    // job rows and aggregates can differ.
+    if (a.report("", "").dump() != b.report("", "").dump()) return false;
+    for (std::size_t i = 0; i < a.results.size(); ++i) {
+        if (a.results[i].metrics.dump() != b.results[i].metrics.dump()) return false;
+    }
+    return true;
+}
+
 namespace {
 
 void require(std::vector<std::string>& problems, bool ok, const std::string& what) {

@@ -97,6 +97,13 @@ private:
     SweepConfig config_;
 };
 
+/// The byte-identity rule of the determinism contract (DESIGN.md §10):
+/// true iff @p a and @p b hold the same number of results, their merged
+/// reports dump to the same bytes, and every job's metrics snapshot dumps
+/// to the same bytes as its counterpart's. Wall-clock and thread count
+/// are ignored. The one check every --jobs comparison goes through.
+bool identical_artifacts(const SweepOutcome& a, const SweepOutcome& b);
+
 /// Checks a parsed document against the sweep-report schema
 /// (docs/TRACE_FORMAT.md §8). Empty vector = valid. Shared by the unit
 /// tests and the validate_metrics binary.
